@@ -8,9 +8,15 @@ provides the two operational bracket axioms as numbers: an antisymmetry
 residual comes out of `bracket` directly, and `jacobi_residual` measures the
 cyclic sum with one finite-difference layer in field space.
 
-Cost model: one bracket evaluation is O(M) expression evaluations; a Jacobi
-residual needs 2*N*M bracket evaluations per cyclic term, so the default
-M = 64 with N <= 4 keeps a single call well under a second.
+Cost model: a bracket evaluates each expression table entry once over the
+M gridpoints.  A Jacobi residual needs the brackets of 2*N*M perturbed
+fields per cyclic term, O(N*M^2) points.  They are stacked along the leading
+batch axis of the array core shared by `bracket`, `apply_bracket_operator`
+and `Functional.variational`, and evaluated in chunks of at most
+`CHUNK_POINTS` gridpoints, so each table entry is evaluated once per chunk
+rather than once per field.  At the default M = 64 with N <= 2 that is one
+chunk per term; the cap bounds the temporaries, the largest of which is the
+(CHUNK_POINTS, N, N, N) table of ``b``.
 """
 
 from __future__ import annotations
@@ -26,13 +32,19 @@ from . import tensor as tz
 from .errors import ShapeMismatchError, StepTooSmallWarning
 from .expr import Expr, differentiate, evaluate, free_names, parse
 from .system import SystemDef
-from .util import sweep
 
 DEFAULT_H_STEP = 1e-5
+# gridpoints per batched table evaluation in the Jacobi layer
+CHUNK_POINTS = 16384
 
 
 def _is_power_of_two(m):
     return m >= 2 and (m & (m - 1)) == 0
+
+
+def _require_finite(values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
 
 
 @dataclass(frozen=True)
@@ -51,8 +63,7 @@ class GridField:
             raise ShapeMismatchError("field values must be a (components, points) array")
         if not _is_power_of_two(vals.shape[1]):
             raise ValueError(f"grid size {vals.shape[1]} is not a power of two")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+        _require_finite(vals)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -113,22 +124,27 @@ class Functional:
             raise ValueError(f"density references undeclared names {sorted(extra)}")
         self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
 
-    def _env(self, U):
+    def _env(self, values):
         env = dict(self.params)
         for k, c in enumerate(self.coords):
-            env[c] = U.values[k]
+            env[c] = values[..., k, :]
         return env
 
     def value(self, U: GridField) -> float:
-        dens = np.broadcast_to(evaluate(self.density, self._env(U)), (U.n_points,))
+        dens = np.broadcast_to(evaluate(self.density, self._env(U.values)),
+                               (U.n_points,))
         return float(np.sum(dens) * U.dx)
 
     def variational(self, U: GridField):
         """delta F / delta U as an (N, M) array."""
-        env = self._env(U)
-        out = np.empty(U.values.shape)
+        return self._variational(U.values)
+
+    def _variational(self, values):
+        """delta F / delta U of fields stacked as (..., N, M), same shape."""
+        env = self._env(values)
+        out = np.empty(values.shape)
         for k, g in enumerate(self.gradient):
-            out[k] = np.broadcast_to(evaluate(g, env), (U.n_points,))
+            out[..., k, :] = evaluate(g, env)
         return out
 
 
@@ -144,13 +160,15 @@ def random_polynomial_functional(coords, *, degree=3, seed=0, scale=1.0,
     return Functional(" + ".join(terms), coords, name=name)
 
 
-def _check_shapes(sys, U, xi):
-    if sys.N != U.n_components:
+def _check_shapes(sys, values, xi):
+    # both stacked as (B, ...); report the per-field shapes
+    if sys.N != values.shape[1]:
         raise ShapeMismatchError(
-            f"system has {sys.N} components, field has {U.n_components}")
-    if xi.shape != U.values.shape:
+            f"system has {sys.N} components, field has {values.shape[1]}")
+    if xi.shape != values.shape:
         raise ShapeMismatchError(
-            f"covector shape {xi.shape} does not match field shape {U.values.shape}")
+            f"covector shape {xi.shape[1:]} does not match field shape "
+            f"{values.shape[1:]}")
 
 
 def apply_bracket_operator(sys: SystemDef, U: GridField, xi, *, part="full",
@@ -163,36 +181,48 @@ def apply_bracket_operator(sys: SystemDef, U: GridField, xi, *, part="full",
     "ultralocal" h term only; ``pencil_lambda`` instead evaluates the pencil
     member local + lambda * ultralocal.
     """
+    xi = xi.values if isinstance(xi, GridField) else np.asarray(xi, dtype=float)
+    return GridField(_operator(sys, U.values[None], xi[None], part, pencil_lambda)[0])
+
+
+def _operator(sys, values, xi, part, pencil_lambda):
+    """`apply_bracket_operator` on fields and covectors stacked as (B, N, M)."""
     if part not in ("full", "local", "ultralocal"):
         raise ValueError(f"unknown part {part!r}")
     if pencil_lambda is not None and part != "full":
         raise ValueError("pencil_lambda already selects both parts")
-    xi = xi.values if isinstance(xi, GridField) else np.asarray(xi, dtype=float)
-    _check_shapes(sys, U, xi)
+    _check_shapes(sys, values, xi)
     use_local = part in ("full", "local")
     use_ultra = part in ("full", "ultralocal")
     ultra_weight = 1.0 if pencil_lambda is None else float(pencil_lambda)
 
-    pts = U.values.T
-    out = np.zeros(U.values.shape)
+    batch, n, m = values.shape
+    # (B*M, N) points; each column is a contiguous row of the (N, B*M) copy
+    pts = np.moveaxis(values, 1, 0).reshape(n, batch * m).T
+    out = np.zeros(values.shape)
     if use_local and sys.g_upper is not None:
-        g = tz.metric_upper_at(sys, pts)
-        out += np.einsum("xnm,mx->nx", g, spectral_dx(xi))
+        g = tz.metric_upper_at(sys, pts).reshape(batch, m, n, n)
+        out += np.einsum("bxnm,bmx->bnx", g, spectral_dx(xi))
         if sys.b is not None:
-            b = tz.b_at(sys, pts)
-            out += np.einsum("xnml,lx,mx->nx", b, spectral_dx(U.values), xi)
+            b = tz.b_at(sys, pts).reshape(batch, m, n, n, n)
+            out += np.einsum("bxnml,blx,bmx->bnx", b, spectral_dx(values), xi)
     if use_ultra and sys.h_ultra is not None:
-        h = tz._eval_table(sys.h_ultra, tz._env(sys, pts), len(pts))
-        out += ultra_weight * np.einsum("xnm,mx->nx", h, xi)
-    return GridField(out)
+        h = tz.h_ultra_at(sys, pts).reshape(batch, m, n, n)
+        out += ultra_weight * np.einsum("bxnm,bmx->bnx", h, xi)
+    return out
+
+
+def _bracket(sys, F, G, values, dx, part, pencil_lambda):
+    """`bracket` of fields stacked as (B, N, M), shape (B,)."""
+    a = _operator(sys, values, G._variational(values), part, pencil_lambda)
+    _require_finite(a)
+    return np.sum((F._variational(values) * a).reshape(len(values), -1), axis=1) * dx
 
 
 def bracket(sys: SystemDef, F: Functional, G: Functional, U: GridField, *,
             part="full", pencil_lambda=None) -> float:
     """{F, G}[U] = sum_i deltaF(x_i) . A(deltaG)(x_i) dx."""
-    a = apply_bracket_operator(sys, U, G.variational(U), part=part,
-                               pencil_lambda=pencil_lambda)
-    return float(np.sum(F.variational(U) * a.values) * U.dx)
+    return float(_bracket(sys, F, G, U.values[None], U.dx, part, pencil_lambda)[0])
 
 
 def antisymmetry_residual(sys, F, G, U, **kw) -> float:
@@ -211,25 +241,25 @@ def _inner_bracket_gradient(sys, Fa, Fb, U, h_step, kw):
 
     The perturbation of U^n(x_i) is h/dx, so the quotient approximates the
     functional derivative against the continuum pairing independently of the
-    grid resolution.
+    grid resolution.  The 2*N*M perturbed fields (each U^n(x_i) raised, then
+    each lowered) are stacked and bracketed together through the batched
+    core, at most ``CHUNK_POINTS // M`` fields (and at least one) per chunk,
+    so each chunk costs one evaluation per expression table entry.
     """
     n, m = U.values.shape
+    size = n * m
     amp = h_step / U.dx
-
-    def eval_chunk(idx):
-        res = np.empty(len(idx))
-        for r, flat in enumerate(idx):
-            nu, i = divmod(int(flat), m)
-            up = U.values.copy()
-            up[nu, i] += amp
-            down = U.values.copy()
-            down[nu, i] -= amp
-            res[r] = (bracket(sys, Fa, Fb, GridField(up), **kw)
-                      - bracket(sys, Fa, Fb, GridField(down), **kw)) / (2.0 * h_step)
-        return res
-
-    flat = sweep(eval_chunk, np.arange(n * m))
-    return flat.reshape(n, m)
+    shifts = np.repeat([amp, -amp], size)
+    entries = np.tile(np.arange(size), 2)
+    per_chunk = max(1, CHUNK_POINTS // m)
+    vals = np.empty(2 * size)
+    for lo in range(0, 2 * size, per_chunk):
+        hi = min(lo + per_chunk, 2 * size)
+        stack = np.repeat(U.values.reshape(1, size), hi - lo, axis=0)
+        stack[np.arange(hi - lo), entries[lo:hi]] += shifts[lo:hi]
+        _require_finite(stack)
+        vals[lo:hi] = _bracket(sys, Fa, Fb, stack.reshape(-1, n, m), U.dx, **kw)
+    return ((vals[:size] - vals[size:]) / (2.0 * h_step)).reshape(n, m)
 
 
 def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .expr import Expr, differentiate, evaluate, free_names, parse
 from .system import Box, SystemDef, sample_box
+from .verify import _argmax_abs
 
 TOL_ZERO = 1e-9
 TOL_GOURSAT = 1e-5
@@ -69,12 +70,25 @@ def _min_gap(speeds):
 
 def _check_hyperbolicity(sys, pts, gap_tol):
     gaps = _min_gap(speeds_at(sys, pts))
+    # argmin returns the first NaN when there is one
     worst = int(np.argmin(gaps))
-    if gaps[worst] <= gap_tol:
+    if not gaps[worst] > gap_tol:
         raise HyperbolicityViolationError(
             f"characteristic velocities collide (gap {gaps[worst]:.3e} "
             f"<= {gap_tol:.1e})", point=tuple(float(v) for v in pts[worst]))
     return float(gaps[worst])
+
+
+def _worse(current, candidate):
+    """The worse of two (residual, witness) pairs.
+
+    A NaN residual is worse than any number; ties keep ``current``.
+    """
+    if math.isnan(current[0]):
+        return current
+    if math.isnan(candidate[0]) or candidate[0] > current[0]:
+        return candidate
+    return current
 
 
 def _a_table(sys: SystemDef):
@@ -147,7 +161,7 @@ def semi_hamiltonian_check(sys: SystemDef, *, box: Box | None = None,
     n = sys.N
     a = _a_table(sys)
     env = tz._env(sys, pts)
-    residual, witness, count = 0.0, None, 0
+    worst, count = (0.0, None), 0
     for nu in range(n):
         for mu in range(n):
             if mu == nu:
@@ -158,12 +172,10 @@ def semi_hamiltonian_check(sys: SystemDef, *, box: Box | None = None,
                 count += 1
                 diff = (differentiate(a[nu, mu], sys.coords[lam])
                         - differentiate(a[nu, lam], sys.coords[mu]))
-                vals = np.abs(np.broadcast_to(
-                    np.asarray(evaluate(diff, env), dtype=float), (len(pts),)))
-                worst = int(np.argmax(vals))
-                if vals[worst] > residual:
-                    residual = float(vals[worst])
-                    witness = tuple(float(v) for v in pts[worst])
+                vals = np.broadcast_to(
+                    np.asarray(evaluate(diff, env), dtype=float), (len(pts),))
+                worst = _worse(worst, _argmax_abs(vals, pts))
+    residual, witness = worst
     return SemiHamiltonianReport(sys.name, residual, tol_zero,
                                  residual < tol_zero, witness, count, gap)
 
@@ -255,16 +267,17 @@ def closed_form_flow(sys: SystemDef, exprs, *, box: Box | None = None,
     _check_hyperbolicity(sys, pts, gap_tol)
     a = _a_table(sys)
     env = tz._env(sys, pts)
-    residual = 0.0
+    worst = (0.0, None)
     for nu in range(sys.N):
         for mu in range(sys.N):
             if mu == nu:
                 continue
             diff = (differentiate(parsed[nu], sys.coords[mu])
                     - a[nu, mu] * (parsed[mu] - parsed[nu]))
-            vals = np.abs(np.broadcast_to(
-                np.asarray(evaluate(diff, env), dtype=float), (len(pts),)))
-            residual = max(residual, float(np.max(vals)) if len(vals) else 0.0)
+            vals = np.broadcast_to(
+                np.asarray(evaluate(diff, env), dtype=float), (len(pts),))
+            worst = _worse(worst, _argmax_abs(vals, pts))
+    residual = worst[0]
     return CommutingFlow(sys.coords, exprs=parsed, params=sys.params,
                          residual=residual, provenance="user-supplied")
 

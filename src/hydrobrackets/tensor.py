@@ -172,6 +172,13 @@ def b_at(sys, pts):
     return _eval_table(sys.b, _env(sys, pts), len(pts))
 
 
+def h_ultra_at(sys, pts):
+    if sys.h_ultra is None:
+        raise ValueError("system declares no ultralocal coefficients")
+    pts, _ = _points(sys, pts)
+    return _eval_table(sys.h_ultra, _env(sys, pts), len(pts))
+
+
 def b_d1_at(sys, pts):
     pts, _ = _points(sys, pts)
     return _eval_table(_d1_table(sys, "b", sys.b), _env(sys, pts), len(pts))

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .expr import differentiate
 from .system import Box, SystemDef, sample_box
-from .util import sweep
 
 TOL_ZERO = 1e-9
 TOL_FLAT = 1e-7
@@ -148,7 +147,7 @@ def check_dn(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
     pts = sample_box(box or sys.box, samples, extra_points)
     checks = [_symmetry_check(sys, pts, tol_zero)]
     checks.extend(_connection_checks(sys, pts, tol_zero))
-    curv = sweep(lambda q: tz.riemann_raised_at(sys, q), pts)
+    curv = tz.riemann_raised_at(sys, pts)
     checks.append(_check("flatness", curv, pts, tol_zero))
     verdict = VERDICT_DN if all(c.passed for c in checks) else VERDICT_FAIL
     return VerifyReport(sys.name, verdict, checks)
@@ -172,7 +171,7 @@ def check_mf(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
     pts = sample_box(box or sys.box, samples, extra_points)
     checks = [_symmetry_check(sys, pts, tol_zero)]
     checks.extend(_connection_checks(sys, pts, tol_zero))
-    curv = sweep(lambda q: tz.riemann_raised_at(sys, q), pts)
+    curv = tz.riemann_raised_at(sys, pts)
     pattern = _curvature_pattern(sys.N)
     denom = float(np.sum(pattern * pattern)) * len(pts)
     c_fit = float(np.sum(curv * pattern) / denom) if denom else 0.0
@@ -239,7 +238,7 @@ def check_ferapontov(sys: SystemDef, *, box: Box | None = None,
             worst = cand if worst is None or cand.residual > worst.residual else worst
         checks.append(worst)
 
-    curv = sweep(lambda q: tz.riemann_raised_at(sys, q), pts)
+    curv = tz.riemann_raised_at(sys, pts)
     rep = np.zeros_like(curv)
     for sign, w, _ in affs:
         rep += sign * (np.einsum("pnm,ptl->pntml", w, w)

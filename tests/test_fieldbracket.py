@@ -14,6 +14,7 @@ import pytest
 
 from conftest import canonical_system, polar_pair_system, so3_system, sphere_system
 from hydrobrackets import fieldbracket as fb
+from hydrobrackets import tensor as tz
 from hydrobrackets.errors import ShapeMismatchError, StepTooSmallWarning
 from hydrobrackets.system import Box, SystemDef
 
@@ -266,6 +267,84 @@ def test_jacobi_ultralocal_rotation_algebra():
     funcs = cubic_triple(sys.coords, degree=2)
     assert quiet_jacobi(sys, funcs, U, part="ultralocal") < 1e-8
     assert quiet_jacobi(sys, funcs, U, pencil_lambda=0.7) < 1e-8
+
+
+def loop_inner_gradient(sys, fa, fb_, U, h_step, kw):
+    """Reference: one central quotient of two `bracket` calls per entry."""
+    n, m = U.values.shape
+    amp = h_step / U.dx
+    out = np.empty((n, m))
+    for nu in range(n):
+        for i in range(m):
+            up = U.values.copy()
+            up[nu, i] += amp
+            down = U.values.copy()
+            down[nu, i] -= amp
+            out[nu, i] = (fb.bracket(sys, fa, fb_, fb.GridField(up), **kw)
+                          - fb.bracket(sys, fa, fb_, fb.GridField(down), **kw)
+                          ) / (2.0 * h_step)
+    return out
+
+
+def gradient_cases():
+    so3_field = smooth_field((0.4, -0.2, 0.8), 32, seed=5)
+    return [(sys, U, dict(part="full", pencil_lambda=None))
+            for sys, U in library_cases()] + [
+        (so3_system(), so3_field, dict(part="ultralocal", pencil_lambda=None)),
+        (so3_system(), so3_field, dict(part="full", pencil_lambda=0.7)),
+    ]
+
+
+def assert_gradient_matches_loop(sys, U, kw):
+    fa, fb_ = cubic_triple(sys.coords, degree=2)[:2]
+    ref = loop_inner_gradient(sys, fa, fb_, U, fb.DEFAULT_H_STEP, kw)
+    got = fb._inner_bracket_gradient(sys, fa, fb_, U, fb.DEFAULT_H_STEP, kw)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_batched_gradient_matches_per_perturbation_loop():
+    for sys, U, kw in gradient_cases():
+        assert_gradient_matches_loop(sys, U, kw)
+
+
+def test_batched_gradient_over_several_chunks(monkeypatch):
+    sys = polar_pair_system()
+    U = smooth_field((1.5, 0.2), 128, seed=2)
+    n, m = U.values.shape
+    assert 2 * n * m * m > fb.CHUNK_POINTS
+    calls = []
+    table = tz.metric_upper_at
+
+    def counted(sys_, pts):
+        calls.append(len(pts))
+        return table(sys_, pts)
+
+    monkeypatch.setattr(tz, "metric_upper_at", counted)
+    assert_gradient_matches_loop(sys, U, dict(part="full", pencil_lambda=None))
+    batched = [p for p in calls if p > m]
+    assert len(batched) == 2 * n * m * m // fb.CHUNK_POINTS
+    assert max(batched) <= fb.CHUNK_POINTS
+    # a cap that does not divide the stack leaves a short last chunk
+    calls.clear()
+    monkeypatch.setattr(fb, "CHUNK_POINTS", 3 * 32)
+    assert_gradient_matches_loop(sys, smooth_field((1.5, 0.2), 32, seed=4),
+                                 dict(part="full", pencil_lambda=None))
+    assert sorted(set(p for p in calls if p > 32)) == [64, 96]
+
+
+def test_stacked_operator_and_variational_match_per_field():
+    for sys, U, kw in gradient_cases():
+        f = fb.random_polynomial_functional(sys.coords, seed=60)
+        rng = np.random.default_rng(61)
+        stack = U.values + 0.01 * rng.normal(size=(5,) + U.values.shape)
+        xi = f._variational(stack)
+        ops = fb._operator(sys, stack, xi, **kw)
+        for k, row in enumerate(stack):
+            field = fb.GridField(row)
+            assert np.array_equal(xi[k], f.variational(field))
+            assert np.array_equal(ops[k], fb.apply_bracket_operator(
+                sys, field, xi[k], **kw).values)
 
 
 def test_jacobi_warns_when_step_too_small():

@@ -143,6 +143,36 @@ def test_velocity_collision_raises_with_point():
     assert sys.box.contains(err.value.point)
 
 
+def overflowing_system():
+    # exp(800*a) overflows to inf for a > 0.887, so the compatibility
+    # residual is NaN at those samples while the velocity gap stays finite
+    return SystemDef(("a", "b", "c"),
+                     v_diag=["exp(800*a)", "b + 2*a*c", "c^2 + 3"],
+                     box=Box((0.0, 0.1, 0.1), (1.0, 1.0, 1.0)), name="overflow")
+
+
+def test_non_finite_residual_fails_with_witness():
+    sys = overflowing_system()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = hg.semi_hamiltonian_check(sys)
+        flow = hg.closed_form_flow(sys, ["exp(800*a)", "b", "c"])
+    assert not rep.passed
+    assert np.isnan(rep.residual)
+    assert rep.witness is not None and rep.witness[0] > 0.887
+    assert sys.box.contains(rep.witness)
+    assert "FAIL" in str(rep)
+    assert np.isnan(flow.residual)
+
+
+def test_non_finite_velocity_gap_raises_with_point():
+    sys = SystemDef(("a", "b"), v_diag=["exp(800*a) - exp(800*b)", "b"],
+                    box=Box((0.0, 0.9), (1.0, 1.0)), name="nan-speed")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(HyperbolicityViolationError) as err:
+            hg.semi_hamiltonian_check(sys)
+    assert err.value.point[0] > 0.887
+
+
 def test_check_requires_diagonal_velocities():
     sys = SystemDef(("u",), g_upper=[["1"]], box=Box((0.0,), (1.0,)))
     with pytest.raises(ValueError):
