@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.interpolate
 
 from . import tensor as tz
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .expr import Expr, differentiate, evaluate, free_names, parse
 from .system import Box, SystemDef, sample_box
-from .verify import _argmax_abs
+from .verify import _argmax_abs, _worse
 
 TOL_ZERO = 1e-9
 TOL_GOURSAT = 1e-5
@@ -44,16 +43,13 @@ def _require_diagonal(sys: SystemDef):
 def speeds_at(sys: SystemDef, pts):
     """Characteristic velocities v^nu at a batch of points, shape (P, N)."""
     _require_diagonal(sys)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return tz._eval_table(sys.v_diag, tz._env(sys, pts), len(pts))
+    return tz.table_at(sys, sys.v_diag, pts)
 
 
 def speeds_d1_at(sys: SystemDef, pts):
     """d v^nu / d R^mu, shape (P, mu, nu)."""
     _require_diagonal(sys)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    table = tz._d1_table(sys, "v_diag", sys.v_diag)
-    return tz._eval_table(table, tz._env(sys, pts), len(pts))
+    return tz.table_d1_at(sys, sys.v_diag, pts)
 
 
 def _min_gap(speeds):
@@ -79,16 +75,12 @@ def _check_hyperbolicity(sys, pts, gap_tol):
     return float(gaps[worst])
 
 
-def _worse(current, candidate):
-    """The worse of two (residual, witness) pairs.
-
-    A NaN residual is worse than any number; ties keep ``current``.
-    """
-    if math.isnan(current[0]):
-        return current
-    if math.isnan(candidate[0]) or candidate[0] > current[0]:
-        return candidate
-    return current
+def _values_at(sys, exprs, pts):
+    """Values of a sequence of expressions at a point batch, shape (P, len)."""
+    table = np.empty(len(exprs), dtype=object)
+    for k, e in enumerate(exprs):
+        table[k] = e
+    return tz.table_at(sys, table, pts)
 
 
 def _a_table(sys: SystemDef):
@@ -160,22 +152,16 @@ def semi_hamiltonian_check(sys: SystemDef, *, box: Box | None = None,
     gap = _check_hyperbolicity(sys, pts, gap_tol)
     n = sys.N
     a = _a_table(sys)
-    env = tz._env(sys, pts)
-    worst, count = (0.0, None), 0
-    for nu in range(n):
-        for mu in range(n):
-            if mu == nu:
-                continue
-            for lam in range(mu + 1, n):
-                if lam == nu or lam == mu:
-                    continue
-                count += 1
-                diff = (differentiate(a[nu, mu], sys.coords[lam])
-                        - differentiate(a[nu, lam], sys.coords[mu]))
-                vals = np.broadcast_to(
-                    np.asarray(evaluate(diff, env), dtype=float), (len(pts),))
-                worst = _worse(worst, _argmax_abs(vals, pts))
+    diffs = [differentiate(a[nu, mu], sys.coords[lam])
+             - differentiate(a[nu, lam], sys.coords[mu])
+             for nu in range(n) for mu in range(n) for lam in range(mu + 1, n)
+             if len({nu, mu, lam}) == 3]
+    vals = _values_at(sys, diffs, pts)
+    worst = (0.0, None)
+    for k in range(len(diffs)):
+        worst = _worse(worst, _argmax_abs(vals[:, k], pts))
     residual, witness = worst
+    count = len(diffs)
     return SemiHamiltonianReport(sys.name, residual, tol_zero,
                                  residual < tol_zero, witness, count, gap)
 
@@ -212,6 +198,7 @@ class CommutingFlow:
             self.kind = "sampled"
             if len(self.coords) != 2:
                 raise ValueError("sampled flows are two-component")
+            import scipy.interpolate    # deferred: slow to import, only splines need it
             self._splines = tuple(
                 scipy.interpolate.RectBivariateSpline(axes[0], axes[1],
                                                       values[k], kx=3, ky=3)
@@ -266,17 +253,13 @@ def closed_form_flow(sys: SystemDef, exprs, *, box: Box | None = None,
     pts = sample_box(box or sys.box, samples)
     _check_hyperbolicity(sys, pts, gap_tol)
     a = _a_table(sys)
-    env = tz._env(sys, pts)
+    diffs = [differentiate(parsed[nu], sys.coords[mu])
+             - a[nu, mu] * (parsed[mu] - parsed[nu])
+             for nu in range(sys.N) for mu in range(sys.N) if mu != nu]
+    vals = _values_at(sys, diffs, pts)
     worst = (0.0, None)
-    for nu in range(sys.N):
-        for mu in range(sys.N):
-            if mu == nu:
-                continue
-            diff = (differentiate(parsed[nu], sys.coords[mu])
-                    - a[nu, mu] * (parsed[mu] - parsed[nu]))
-            vals = np.broadcast_to(
-                np.asarray(evaluate(diff, env), dtype=float), (len(pts),))
-            worst = _worse(worst, _argmax_abs(vals, pts))
+    for k in range(len(diffs)):
+        worst = _worse(worst, _argmax_abs(vals[:, k], pts))
     residual = worst[0]
     return CommutingFlow(sys.coords, exprs=parsed, params=sys.params,
                          residual=residual, provenance="user-supplied")
@@ -342,12 +325,8 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
     flat = grid.reshape(-1, 2)
     _check_hyperbolicity(sys, flat, gap_tol)
     a = _a_table(sys)
-    env = tz._env(sys, flat)
     n1, n2 = len(r1), len(r2)
-    a12 = np.broadcast_to(np.asarray(evaluate(a[0, 1], env), float),
-                          (len(flat),)).reshape(n1, n2)
-    a21 = np.broadcast_to(np.asarray(evaluate(a[1, 0], env), float),
-                          (len(flat),)).reshape(n1, n2)
+    a12, a21 = _values_at(sys, (a[0, 1], a[1, 0]), flat).T.reshape(2, n1, n2)
 
     symbols = set(sys.coords) | set(sys.params)
     w1e = parse(w1, symbols) if isinstance(w1, str) else w1

@@ -50,24 +50,25 @@ class Box:
                    for p, l, h in zip(point, self.lo, self.hi))
 
 
-def _radical_inverse(index, base):
-    inv, denom = 0.0, 1.0
-    while index > 0:
-        index, digit = divmod(index, base)
-        denom *= base
-        inv += digit / denom
-    return inv
-
-
 def halton_points(count, dim):
-    """First ``count`` Halton points in the unit cube, index starting at 1."""
+    """First ``count`` Halton points in the unit cube, index starting at 1.
+
+    Each coordinate is the radical inverse of the index in its prime base,
+    built digit by digit for all indices at once; an index whose digits
+    are used up adds exact zeros, so every point is the same float as the
+    one-index-at-a-time sum.
+    """
     if dim > len(_PRIMES):
         raise ValueError(f"halton sampler supports up to {len(_PRIMES)} dimensions")
-    pts = np.empty((count, dim))
+    pts = np.zeros((count, dim))
     for j in range(dim):
         base = _PRIMES[j]
-        for i in range(count):
-            pts[i, j] = _radical_inverse(i + 1, base)
+        index = np.arange(1, count + 1)
+        denom = 1.0
+        while count and index.max() > 0:
+            index, digit = np.divmod(index, base)
+            denom *= base
+            pts[:, j] += digit / denom
     return pts
 
 

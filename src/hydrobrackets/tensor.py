@@ -8,7 +8,23 @@ No finite differences are used.
 
 Batched functions (suffix ``_at``) take an array of points with shape
 ``(P, N)`` and return arrays with a leading ``P`` axis; the public
-single-point operations wrap them in `TensorValue`.
+single-point operations wrap them in `TensorValue`.  `table_at` and
+`table_d1_at` evaluate any object array of expressions, or its exact first
+derivatives, over a point batch; other modules use them for their own
+tables.
+
+Geometry pass: the metric-derived tensors come from one evaluation per
+point batch (`_geometry`).  It evaluates the ``g_upper`` table once,
+inverts it once under the singularity guard, evaluates the first-derivative
+tables, and the second-derivative table only when the connection
+derivative (so the curvature) is asked for, then assembles the connection
+and its derivative.  `christoffel_at`, `christoffel_d1_at`,
+`levi_civita_at`, `riemann_at` and `riemann_raised_at` are views of that
+pass; `christoffel_at` stays first order, as the flat-coordinate
+Runge-Kutta loop calls it once per stage.  Products are contracted pairwise
+with ``matmul`` (never an einsum of three or more operands), so the
+curvature costs O(P N^5) arithmetic, and 5-index temporaries are dropped
+as soon as they are used.
 
 Index layout conventions, writing ``n, t`` for upper and ``m, l, s, r`` for
 lower indices:
@@ -69,25 +85,38 @@ def _memo(sys, key, build):
     return sys._memo[key]
 
 
-def _d1_table(sys: SystemDef, label, exprs):
+def _d1_table(sys: SystemDef, exprs):
+    """Object array of ``d exprs / dU^r`` with a leading coordinate axis.
+
+    Built once per system and expression array.  The memo is keyed by the
+    identity of ``exprs`` and keeps ``exprs`` alive, so a cached identity
+    is never reused by another array.
+    """
     def build():
         out = np.empty((sys.N,) + exprs.shape, dtype=object)
         for r, c in enumerate(sys.coords):
             for idx in np.ndindex(*exprs.shape):
                 out[(r,) + idx] = differentiate(exprs[idx], c)
-        return out
-    return _memo(sys, ("d1", label), build)
+        return exprs, out
+    return _memo(sys, ("d1", id(exprs)), build)[1]
 
 
-def _d2_table(sys: SystemDef, label, exprs):
+def _d2_table(sys: SystemDef, exprs):
+    """Object array of ``d^2 exprs / dU^r dU^q``, two leading coordinate axes.
+
+    Mixed partials commute, so the ``(q, r)`` entry is the same expression
+    object as the ``(r, q)`` one and `_eval_table` evaluates it once.
+    """
     def build():
-        d1 = _d1_table(sys, label, exprs)
+        d1 = _d1_table(sys, exprs)
         out = np.empty((sys.N,) + d1.shape, dtype=object)
         for r, c in enumerate(sys.coords):
-            for idx in np.ndindex(*d1.shape):
-                out[(r,) + idx] = differentiate(d1[idx], c)
-        return out
-    return _memo(sys, ("d2", label), build)
+            for q in range(r, sys.N):
+                for idx in np.ndindex(*exprs.shape):
+                    out[(r, q) + idx] = out[(q, r) + idx] = differentiate(
+                        d1[(q,) + idx], c)
+        return exprs, out
+    return _memo(sys, ("d2", id(exprs)), build)[1]
 
 
 def _points(sys, pts):
@@ -108,10 +137,48 @@ def _env(sys, pts):
 
 def _eval_table(exprs, env, count):
     out = np.empty((count,) + exprs.shape)
+    first = {}     # an expression object held by several entries is evaluated once
     for idx in np.ndindex(*exprs.shape):
-        v = np.asarray(evaluate(exprs[idx], env), dtype=float)
-        out[(slice(None),) + idx] = v
+        e = exprs[idx]
+        seen = first.setdefault(id(e), idx)
+        if seen != idx:
+            out[(slice(None),) + idx] = out[(slice(None),) + seen]
+        else:
+            out[(slice(None),) + idx] = np.asarray(evaluate(e, env), dtype=float)
     return out
+
+
+def table_at(sys: SystemDef, exprs, pts):
+    """Values of an object array of expressions over a point batch.
+
+    Returns shape ``(P,) + exprs.shape``; constant entries are broadcast.
+    """
+    pts, _ = _points(sys, pts)
+    return _eval_table(exprs, _env(sys, pts), len(pts))
+
+
+def table_d1_at(sys: SystemDef, exprs, pts):
+    """Exact coordinate derivatives of ``exprs`` over a point batch.
+
+    Returns shape ``(P, N) + exprs.shape`` with the differentiation
+    coordinate on axis 1.  The symbolic table is built once per system and
+    expression array, so pass an array the caller keeps (a system field).
+    """
+    return table_at(sys, _d1_table(sys, exprs), pts)
+
+
+# --- pairwise contractions -----------------------------------------------------
+
+def _apply(mat, t, lead):
+    """``sum_s mat[..., a, s] t[..., s, *rest]``, one ``matmul``.
+
+    ``lead`` counts the batch axes of ``t`` in front of the contracted
+    axis; ``mat`` broadcasts against them.  The result has the index ``a``
+    where ``t`` had ``s``.
+    """
+    rest = t.shape[lead + 1:]
+    out = mat @ t.reshape(t.shape[:lead + 1] + (-1,))
+    return out.reshape(out.shape[:-1] + rest)
 
 
 # --- metric and connection ----------------------------------------------------
@@ -119,24 +186,10 @@ def _eval_table(exprs, env, count):
 def metric_upper_at(sys: SystemDef, pts):
     if sys.g_upper is None:
         raise ValueError("system declares no metric")
-    pts, _ = _points(sys, pts)
-    return _eval_table(sys.g_upper, _env(sys, pts), len(pts))
+    return table_at(sys, sys.g_upper, pts)
 
 
-def metric_upper_d1_at(sys, pts):
-    pts, _ = _points(sys, pts)
-    return _eval_table(_d1_table(sys, "g_upper", sys.g_upper), _env(sys, pts), len(pts))
-
-
-def metric_upper_d2_at(sys, pts):
-    pts, _ = _points(sys, pts)
-    return _eval_table(_d2_table(sys, "g_upper", sys.g_upper), _env(sys, pts), len(pts))
-
-
-def metric_lower_at(sys: SystemDef, pts):
-    """Batched inverse metric with singularity guard."""
-    pts, _ = _points(sys, pts)
-    upper = metric_upper_at(sys, pts)
+def _guarded_inverse(upper, pts):
     dets = np.linalg.det(upper)
     bad = np.abs(dets) < DET_FLOOR
     if np.any(bad):
@@ -153,106 +206,153 @@ def metric_lower_at(sys: SystemDef, pts):
     return np.linalg.inv(upper)
 
 
+def metric_lower_at(sys: SystemDef, pts):
+    """Batched inverse metric with singularity guard."""
+    pts, _ = _points(sys, pts)
+    return _guarded_inverse(metric_upper_at(sys, pts), pts)
+
+
 def _lower_d1(lower, upper_d1):
-    # d(g^{-1}) = -g^{-1} dg g^{-1}
-    return -np.einsum("pij,prjk,pkl->pril", lower, upper_d1, lower)
+    # d_r(g^{-1}) = -g^{-1} (d_r g) g^{-1}
+    low = lower[:, None]
+    out = low @ upper_d1 @ low
+    return np.negative(out, out=out)
 
 
-def _lower_d2(lower, upper_d1, upper_d2):
-    a = np.einsum("pij,prsjk,pkl->prsil", lower, upper_d2, lower)
-    b = np.einsum("pij,prjk,pkl,pslm,pmn->prsin",
-                  lower, upper_d1, lower, upper_d1, lower)
-    return -a + b + np.swapaxes(b, 1, 2)
+def _lower_d2(lower, upper_d1, l1, upper_d2):
+    # d_r d_q(g^{-1}) = -g^{-1} (d_r d_q g) g^{-1} - c_{rq} - c_{qr} with
+    # c_{rq} = d_r(g^{-1}) (d_q g) g^{-1}; 5-index temporaries freed early
+    low = lower[:, None, None]
+    out = upper_d2 @ low
+    out = np.matmul(low, out, out=out)
+    c = l1[:, :, None] @ (upper_d1 @ lower[:, None])[:, None]
+    out += c
+    out += np.swapaxes(c, 1, 2)
+    del c
+    return np.negative(out, out=out)
+
+
+def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
+    """One pass over a point batch: ``(g_upper values, connection, derivative)``.
+
+    Evaluates the ``g_upper`` table once and inverts it under the
+    singularity guard.  The connection comes from the declared ``b`` unless
+    ``levi_civita`` is set or no ``b`` is declared.  Derivative tables are
+    evaluated only as far as the result needs: the second derivatives of
+    ``g_upper`` only for the derivative of a Levi-Civita connection.  The
+    derivative is ``None`` unless ``derivative`` is set, with layout
+    ``[p, r, n, m, l] = d_r Gamma^n_{ml}``.
+    """
+    if sys.g_upper is None:
+        raise ValueError("system declares no metric")
+    pts, _ = _points(sys, pts)
+    env, count = _env(sys, pts), len(pts)
+    upper = _eval_table(sys.g_upper, env, count)
+    lower = _guarded_inverse(upper, pts)
+    declared = sys.b is not None and not levi_civita
+    if declared:
+        # Gamma^n_{ml} = -g_{ms} b^{sn}_l
+        b = _eval_table(sys.b, env, count)
+        gamma = np.swapaxes(_apply(-lower, b, 1), 1, 2)
+        if not derivative:
+            return upper, gamma, None
+    upper_d1 = _eval_table(_d1_table(sys, sys.g_upper), env, count)
+    l1 = _lower_d1(lower, upper_d1)
+    if declared:
+        b1 = _eval_table(_d1_table(sys, sys.b), env, count)
+        gamma_d1 = _apply(lower[:, None], b1, 2)
+        del b1
+        gamma_d1 += _apply(l1, b[:, None], 2)
+        np.negative(gamma_d1, out=gamma_d1)
+        return upper, gamma, np.swapaxes(gamma_d1, 2, 3)
+    # first-kind symbols s[k, m, l] = d_m g_{kl} + d_l g_{km} - d_k g_{ml}
+    s = np.transpose(l1, (0, 2, 1, 3)) + np.transpose(l1, (0, 2, 3, 1))
+    s -= l1
+    gamma = 0.5 * _apply(upper, s, 1)
+    if not derivative:
+        return upper, gamma, None
+    upper_d2 = _eval_table(_d2_table(sys, sys.g_upper), env, count)
+    l2 = _lower_d2(lower, upper_d1, l1, upper_d2)
+    del upper_d2
+    s1 = np.transpose(l2, (0, 1, 3, 2, 4)) + np.transpose(l2, (0, 1, 3, 4, 2))
+    s1 -= l2
+    del l2
+    gamma_d1 = _apply(upper[:, None], s1, 2)
+    del s1
+    gamma_d1 += _apply(upper_d1, s[:, None], 2)
+    gamma_d1 *= 0.5
+    return upper, gamma, gamma_d1
+
+
+def _riemann(gamma, gamma_d1):
+    # R^n_{tml} = d_m Gamma^n_{tl} - d_l Gamma^n_{tm}
+    #             + Gamma^n_{sm} Gamma^s_{tl} - Gamma^n_{sl} Gamma^s_{tm}
+    count, n = gamma.shape[:2]
+    out = (np.transpose(gamma_d1, (0, 2, 3, 1, 4))
+           - np.transpose(gamma_d1, (0, 2, 3, 4, 1)))
+    left = np.swapaxes(gamma, 2, 3).reshape(count, n * n, n)
+    quad = (left @ gamma.reshape(count, n, n * n)).reshape((count,) + (n,) * 4)
+    quad = np.transpose(quad, (0, 1, 3, 2, 4))
+    out += quad
+    out -= np.swapaxes(quad, 3, 4)
+    return out
 
 
 def b_at(sys, pts):
     if sys.b is None:
         raise ValueError("system declares no b coefficients")
-    pts, _ = _points(sys, pts)
-    return _eval_table(sys.b, _env(sys, pts), len(pts))
+    return table_at(sys, sys.b, pts)
 
 
 def h_ultra_at(sys, pts):
     if sys.h_ultra is None:
         raise ValueError("system declares no ultralocal coefficients")
-    pts, _ = _points(sys, pts)
-    return _eval_table(sys.h_ultra, _env(sys, pts), len(pts))
-
-
-def b_d1_at(sys, pts):
-    pts, _ = _points(sys, pts)
-    return _eval_table(_d1_table(sys, "b", sys.b), _env(sys, pts), len(pts))
+    return table_at(sys, sys.h_ultra, pts)
 
 
 def levi_civita_at(sys: SystemDef, pts):
     """Connection of the declared metric, from exact derivative identities."""
-    pts, _ = _points(sys, pts)
-    lower = metric_lower_at(sys, pts)
-    upper = metric_upper_at(sys, pts)
-    l1 = _lower_d1(lower, metric_upper_d1_at(sys, pts))
-    s = (np.transpose(l1, (0, 2, 1, 3)) + np.transpose(l1, (0, 2, 3, 1)) - l1)
-    return 0.5 * np.einsum("pns,psml->pnml", upper, s)
+    return _geometry(sys, pts, levi_civita=True)[1]
 
 
 def christoffel_at(sys: SystemDef, pts):
     """Connection coefficients: from ``b`` when declared, else Levi-Civita."""
-    if sys.b is None:
-        return levi_civita_at(sys, pts)
-    pts, _ = _points(sys, pts)
-    lower = metric_lower_at(sys, pts)
-    return -np.einsum("pms,psnl->pnml", lower, b_at(sys, pts))
+    return _geometry(sys, pts)[1]
 
 
 def christoffel_d1_at(sys: SystemDef, pts):
-    pts, _ = _points(sys, pts)
-    lower = metric_lower_at(sys, pts)
-    upper_d1 = metric_upper_d1_at(sys, pts)
-    l1 = _lower_d1(lower, upper_d1)
-    if sys.b is not None:
-        b = b_at(sys, pts)
-        b1 = b_d1_at(sys, pts)
-        return (-np.einsum("prms,psnl->prnml", l1, b)
-                - np.einsum("pms,prsnl->prnml", lower, b1))
-    upper = metric_upper_at(sys, pts)
-    l2 = _lower_d2(lower, upper_d1, metric_upper_d2_at(sys, pts))
-    s = (np.transpose(l1, (0, 2, 1, 3)) + np.transpose(l1, (0, 2, 3, 1)) - l1)
-    s1 = (np.transpose(l2, (0, 1, 3, 2, 4)) + np.transpose(l2, (0, 1, 3, 4, 2)) - l2)
-    return 0.5 * (np.einsum("prns,psml->prnml", upper_d1, s)
-                  + np.einsum("pns,prsml->prnml", upper, s1))
+    """``[p, r, n, m, l] = d_r Gamma^n_{ml}`` of the `christoffel_at` connection."""
+    return _geometry(sys, pts, derivative=True)[2]
 
 
 def riemann_at(sys: SystemDef, pts):
     """Curvature ``R^n_{tml}`` of the connection used by `christoffel_at`."""
-    gam = christoffel_at(sys, pts)
-    gam1 = christoffel_d1_at(sys, pts)
-    quad = np.einsum("pnsm,pstl->pntml", gam, gam)
-    return (np.transpose(gam1, (0, 2, 3, 1, 4))
-            - np.transpose(gam1, (0, 2, 3, 4, 1))
-            + quad - np.transpose(quad, (0, 1, 2, 4, 3)))
+    _, gamma, gamma_d1 = _geometry(sys, pts, derivative=True)
+    return _riemann(gamma, gamma_d1)
 
 
 def riemann_raised_at(sys: SystemDef, pts):
     """Curvature with the second index raised by the metric."""
-    upper = metric_upper_at(sys, pts)
-    return np.einsum("pts,pnsml->pntml", upper, riemann_at(sys, pts))
+    upper, gamma, gamma_d1 = _geometry(sys, pts, derivative=True)
+    return _apply(upper[:, None], _riemann(gamma, gamma_d1), 2)
 
 
 # --- operator tensors -----------------------------------------------------------
 
-def operator_at(sys: SystemDef, pts):
-    mat = sys.operator_matrix()
+def _operator(sys: SystemDef):
+    # memoized, so the derivative table of a diagonal operator is built once
+    mat = _memo(sys, "operator", sys.operator_matrix)
     if mat is None:
         raise ValueError("system declares no coefficient operator")
-    pts, _ = _points(sys, pts)
-    return _eval_table(mat, _env(sys, pts), len(pts))
+    return mat
+
+
+def operator_at(sys: SystemDef, pts):
+    return table_at(sys, _operator(sys), pts)
 
 
 def operator_d1_at(sys: SystemDef, pts):
-    mat = sys.operator_matrix()
-    if mat is None:
-        raise ValueError("system declares no coefficient operator")
-    pts, _ = _points(sys, pts)
-    return _eval_table(_d1_table(sys, "operator", mat), _env(sys, pts), len(pts))
+    return table_d1_at(sys, _operator(sys), pts)
 
 
 def nijenhuis_at(sys: SystemDef, pts):
@@ -265,17 +365,25 @@ def nijenhuis_at(sys: SystemDef, pts):
 
 
 def hantjes_at(sys: SystemDef, pts, warn_degenerate=True):
-    """Diagonalizability obstruction built from the operator torsion."""
+    """Diagonalizability obstruction built from the operator torsion.
+
+    ``H^n_{ml} = V^n_s V^s_t N^t_{ml} - V^n_s N^s_{tl} V^t_m
+    - V^n_s N^s_{mt} V^t_l + N^n_{st} V^s_m V^t_l``.
+    """
     pts_arr, _ = _points(sys, pts)
     v = operator_at(sys, pts_arr)
     if warn_degenerate:
         _warn_on_eigenvalue_collision(v, pts_arr)
     nt = nijenhuis_at(sys, pts_arr)
-    t1 = np.einsum("pns,pst,ptml->pnml", v, v, nt)
-    t2 = np.einsum("pns,pstl,ptm->pnml", v, nt, v)
-    t3 = np.einsum("pns,psmt,ptl->pnml", v, nt, v)
-    t4 = np.einsum("pnst,psm,ptl->pnml", nt, v, v)
-    return t1 - t2 - t3 + t4
+    vt = np.swapaxes(v, 1, 2)[:, None]
+    # x[s, m, l] = N^s_{mt} V^t_l; (vt @ nt)[s, m, l] = N^s_{tl} V^t_m
+    x = nt @ v[:, None]
+    inner = _apply(v, nt, 1)
+    inner -= vt @ nt
+    inner -= x
+    out = _apply(v, inner, 1)
+    out += vt @ x
+    return out
 
 
 def _warn_on_eigenvalue_collision(v, pts):

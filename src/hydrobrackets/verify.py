@@ -20,13 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import tensor as tz
 from .errors import (
     MissingAffinorsError, MissingGammaError, NotFlatError, SingularMetricError,
 )
-from .expr import differentiate
 from .system import Box, SystemDef, sample_box
 
 TOL_ZERO = 1e-9
@@ -114,8 +112,30 @@ def _argmax_abs(values, pts):
     return float(per_point[idx]), tuple(float(v) for v in pts[idx])
 
 
+def _worse(current, candidate):
+    """The worse of two (residual, witness) pairs.
+
+    A NaN residual is worse than any number; ties keep ``current``.
+    """
+    if math.isnan(current[0]):
+        return current
+    if math.isnan(candidate[0]) or candidate[0] > current[0]:
+        return candidate
+    return current
+
+
 def _check(name, values, pts, tol):
     residual, witness = _argmax_abs(values, pts)
+    return CheckResult(name, residual, tol, residual < tol, witness)
+
+
+def _worst_check(name, tensors, pts, tol):
+    """One check over several batched tensors, judged by the worst of them."""
+    worst = None
+    for values in tensors:
+        cand = _argmax_abs(values, pts)
+        worst = cand if worst is None else _worse(worst, cand)
+    residual, witness = worst
     return CheckResult(name, residual, tol, residual < tol, witness)
 
 
@@ -136,19 +156,13 @@ def _connection_checks(sys, pts, tol):
     return out
 
 
-def check_dn(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
-             extra_points=(), tol_zero: float = TOL_ZERO) -> VerifyReport:
-    """Verify the flat-metric (local first-order) bracket conditions.
+def _base_checks(sys, pts, tol):
+    """Metric symmetry and, when ``b`` is declared, its consistency."""
+    return [_symmetry_check(sys, pts, tol)] + _connection_checks(sys, pts, tol)
 
-    Checks metric symmetry, consistency of ``b`` with the metric connection
-    (when ``b`` is declared), and vanishing of the curvature, over the
-    low-discrepancy sample of the box plus any ``extra_points``.
-    """
-    pts = sample_box(box or sys.box, samples, extra_points)
-    checks = [_symmetry_check(sys, pts, tol_zero)]
-    checks.extend(_connection_checks(sys, pts, tol_zero))
-    curv = tz.riemann_raised_at(sys, pts)
-    checks.append(_check("flatness", curv, pts, tol_zero))
+
+def _dn(sys, pts, base, curv, tol):
+    checks = base + [_check("flatness", curv, pts, tol)]
     verdict = VERDICT_DN if all(c.passed for c in checks) else VERDICT_FAIL
     return VerifyReport(sys.name, verdict, checks)
 
@@ -157,6 +171,80 @@ def _curvature_pattern(n):
     eye = np.eye(n)
     return (np.einsum("nm,tl->ntml", eye, eye)
             - np.einsum("tm,nl->ntml", eye, eye))
+
+
+def _mf(sys, pts, base, curv, tol):
+    pattern = _curvature_pattern(sys.N)
+    denom = float(np.sum(pattern * pattern)) * len(pts)
+    c_fit = float(np.sum(curv * pattern) / denom) if denom else 0.0
+    checks = base + [_check("constant-curvature-pattern",
+                            curv - c_fit * pattern, pts, tol)]
+    ok = all(c.passed for c in checks)
+    cross = VERDICT_DN if ok and abs(c_fit) < tol else None
+    return VerifyReport(sys.name, VERDICT_MF if ok else VERDICT_FAIL, checks,
+                        curvature_constant=c_fit, cross_flag=cross)
+
+
+def _affinor_values(sys, pts):
+    return [(sign, tz.table_at(sys, w, pts), tz.table_d1_at(sys, w, pts))
+            for sign, w in sys.affinors]
+
+
+def _fer(sys, pts, base, curv, tol):
+    checks = list(base)
+    affs = _affinor_values(sys, pts)
+
+    if affs:
+        lower = tz.metric_lower_at(sys, pts)
+        gam = tz.christoffel_at(sys, pts)
+        contracted = (np.einsum("pnt,ptm->pnm", lower, w) for _, w, _ in affs)
+        checks.append(_worst_check(
+            "metric-affinor-symmetry",
+            (c - np.swapaxes(c, 1, 2) for c in contracted), pts, tol))
+        cov = (dw + np.einsum("pmrs,psl->prml", gam, w)
+               - np.einsum("psrl,pms->prml", gam, w) for _, w, dw in affs)
+        checks.append(_worst_check(
+            "covariant-derivative-symmetry",
+            (c - np.transpose(c, (0, 3, 2, 1)) for c in cov), pts, tol))
+
+    rep = np.zeros_like(curv)
+    for sign, w, _ in affs:
+        rep += sign * (np.einsum("pnm,ptl->pntml", w, w)
+                       - np.einsum("ptm,pnl->pntml", w, w))
+    checks.append(_check("curvature-representation", curv - rep, pts, tol))
+
+    if affs:
+        # a single-member family commutes vacuously but is still reported,
+        # so every declared family shows all four condition groups
+        com_res, com_wit = 0.0, None
+        for i in range(len(affs)):
+            for j in range(i + 1, len(affs)):
+                wi, wj = affs[i][1], affs[j][1]
+                com = wi @ wj - wj @ wi
+                com_res, com_wit = _worse((com_res, com_wit), _argmax_abs(com, pts))
+        checks.append(CheckResult("affinor-commutativity", com_res,
+                                  TOL_COMMUTE, com_res < TOL_COMMUTE, com_wit))
+
+    ok = all(c.passed for c in checks)
+    return VerifyReport(sys.name, VERDICT_FER if ok else VERDICT_FAIL, checks)
+
+
+def _run(body, sys, box, samples, extra_points, tol_zero):
+    """Sample once, then judge ``body`` on the shared checks and curvature."""
+    pts = sample_box(box or sys.box, samples, extra_points)
+    base = _base_checks(sys, pts, tol_zero)
+    return body(sys, pts, base, tz.riemann_raised_at(sys, pts), tol_zero)
+
+
+def check_dn(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
+             extra_points=(), tol_zero: float = TOL_ZERO) -> VerifyReport:
+    """Verify the flat-metric (local first-order) bracket conditions.
+
+    Checks metric symmetry, consistency of ``b`` with the metric connection
+    (when ``b`` is declared), and vanishing of the curvature, over the
+    low-discrepancy sample of the box plus any ``extra_points``.
+    """
+    return _run(_dn, sys, box, samples, extra_points, tol_zero)
 
 
 def check_mf(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
@@ -168,29 +256,7 @@ def check_mf(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
     tolerance.  A fitted constant of zero means the bracket degenerates to
     the flat case.
     """
-    pts = sample_box(box or sys.box, samples, extra_points)
-    checks = [_symmetry_check(sys, pts, tol_zero)]
-    checks.extend(_connection_checks(sys, pts, tol_zero))
-    curv = tz.riemann_raised_at(sys, pts)
-    pattern = _curvature_pattern(sys.N)
-    denom = float(np.sum(pattern * pattern)) * len(pts)
-    c_fit = float(np.sum(curv * pattern) / denom) if denom else 0.0
-    checks.append(_check("constant-curvature-pattern",
-                         curv - c_fit * pattern, pts, tol_zero))
-    ok = all(c.passed for c in checks)
-    cross = VERDICT_DN if ok and abs(c_fit) < tol_zero else None
-    return VerifyReport(sys.name, VERDICT_MF if ok else VERDICT_FAIL, checks,
-                        curvature_constant=c_fit, cross_flag=cross)
-
-
-def _affinor_values(sys, pts):
-    out = []
-    for sign, w in sys.affinors:
-        values = tz._eval_table(w, tz._env(sys, pts), len(pts))
-        deriv = tz._eval_table(tz._d1_table(sys, ("affinor", id(w)), w),
-                               tz._env(sys, pts), len(pts))
-        out.append((sign, values, deriv))
-    return out
+    return _run(_mf, sys, box, samples, extra_points, tol_zero)
 
 
 def check_ferapontov(sys: SystemDef, *, box: Box | None = None,
@@ -203,7 +269,8 @@ def check_ferapontov(sys: SystemDef, *, box: Box | None = None,
     representation through the signed affinor family and pairwise
     commutativity.  A family declared empty asserts a purely local bracket,
     so the curvature representation degenerates to flatness and the check
-    agrees with `check_dn`.
+    agrees with `check_dn`.  Each condition group reports its worst
+    residual over the family; a non-finite one fails the group.
 
     Raises
     ------
@@ -212,56 +279,7 @@ def check_ferapontov(sys: SystemDef, *, box: Box | None = None,
     """
     if sys.affinors is None:
         raise MissingAffinorsError("system declares no affinor family")
-    pts = sample_box(box or sys.box, samples, extra_points)
-    checks = [_symmetry_check(sys, pts, tol_zero)]
-    checks.extend(_connection_checks(sys, pts, tol_zero))
-
-    gam = tz.christoffel_at(sys, pts)
-    affs = _affinor_values(sys, pts)
-
-    if affs:
-        lower = tz.metric_lower_at(sys, pts)
-        worst = None
-        for _, w, _ in affs:
-            contracted = np.einsum("pnt,ptm->pnm", lower, w)
-            asym = contracted - np.swapaxes(contracted, 1, 2)
-            cand = _check("metric-affinor-symmetry", asym, pts, tol_zero)
-            worst = cand if worst is None or cand.residual > worst.residual else worst
-        checks.append(worst)
-
-        worst = None
-        for _, w, dw in affs:
-            cov = (dw + np.einsum("pmrs,psl->prml", gam, w)
-                   - np.einsum("psrl,pms->prml", gam, w))
-            asym = cov - np.transpose(cov, (0, 3, 2, 1))
-            cand = _check("covariant-derivative-symmetry", asym, pts, tol_zero)
-            worst = cand if worst is None or cand.residual > worst.residual else worst
-        checks.append(worst)
-
-    curv = tz.riemann_raised_at(sys, pts)
-    rep = np.zeros_like(curv)
-    for sign, w, _ in affs:
-        rep += sign * (np.einsum("pnm,ptl->pntml", w, w)
-                       - np.einsum("ptm,pnl->pntml", w, w))
-    checks.append(_check("curvature-representation", curv - rep, pts, tol_zero))
-
-    if affs:
-        # a single-member family commutes vacuously but is still reported,
-        # so every declared family shows all four condition groups
-        com_res, com_wit = 0.0, None
-        for i in range(len(affs)):
-            for j in range(i + 1, len(affs)):
-                wi, wj = affs[i][1], affs[j][1]
-                com = (np.einsum("pns,psm->pnm", wi, wj)
-                       - np.einsum("pns,psm->pnm", wj, wi))
-                res, wit = _argmax_abs(com, pts)
-                if res > com_res:
-                    com_res, com_wit = res, wit
-        checks.append(CheckResult("affinor-commutativity", com_res,
-                                  TOL_COMMUTE, com_res < TOL_COMMUTE, com_wit))
-
-    ok = all(c.passed for c in checks)
-    return VerifyReport(sys.name, VERDICT_FER if ok else VERDICT_FAIL, checks)
+    return _run(_fer, sys, box, samples, extra_points, tol_zero)
 
 
 def check_liouville(sys: SystemDef, *, box: Box | None = None,
@@ -282,12 +300,11 @@ def check_liouville(sys: SystemDef, *, box: Box | None = None,
     if sys.g_upper is None or sys.b is None:
         raise ValueError("physical-form check needs both g_upper and b")
     pts = sample_box(box or sys.box, samples, extra_points)
-    env = tz._env(sys, pts)
-    gamma = tz._eval_table(sys.gamma, env, len(pts))
+    gamma = tz.table_at(sys, sys.gamma, pts)
     g = tz.metric_upper_at(sys, pts)
     checks = [_check("gamma-symmetrization",
                      g - (gamma + np.swapaxes(gamma, 1, 2)), pts, tol_zero)]
-    dgamma = tz._eval_table(tz._d1_table(sys, "gamma", sys.gamma), env, len(pts))
+    dgamma = tz.table_d1_at(sys, sys.gamma, pts)
     b = tz.b_at(sys, pts)
     # declared b[s][n][l] against d gamma^{sn} / dU^l
     checks.append(_check("gamma-gradient",
@@ -303,17 +320,20 @@ def classify(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
     Order: flat, constant-curvature, affinor extension.  If the first two
     fail and no affinors are declared, the verdict is indeterminate: an
     affinor family that closes the conditions might exist but cannot be
-    guessed here.
+    guessed here.  The sample, the shared checks and the curvature are
+    computed once and judged by every class tried.
     """
-    kw = dict(box=box, samples=samples, extra_points=extra_points, tol_zero=tol_zero)
-    dn = check_dn(sys, **kw)
+    pts = sample_box(box or sys.box, samples, extra_points)
+    base = _base_checks(sys, pts, tol_zero)
+    curv = tz.riemann_raised_at(sys, pts)
+    dn = _dn(sys, pts, base, curv, tol_zero)
     if dn.verdict == VERDICT_DN:
         return dn
-    mf = check_mf(sys, **kw)
+    mf = _mf(sys, pts, base, curv, tol_zero)
     if mf.verdict == VERDICT_MF:
         return mf
     if sys.affinors is not None:
-        return check_ferapontov(sys, **kw)
+        return _fer(sys, pts, base, curv, tol_zero)
     return VerifyReport(sys.name, VERDICT_UNKNOWN, mf.checks,
                         curvature_constant=mf.curvature_constant)
 
@@ -357,6 +377,7 @@ def pencil_regularity(sys1: SystemDef, sys2: SystemDef, *,
     """
     if sys1.N != sys2.N:
         raise ValueError("metric pair must have matching dimension")
+    import scipy.linalg     # deferred: only pencils need it, and it is slow to import
     pts = sample_box(box or sys1.box, samples, extra_points)
     g1 = tz.metric_upper_at(sys1, pts)
     g2 = tz.metric_upper_at(sys2, pts)

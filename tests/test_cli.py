@@ -5,8 +5,10 @@ asserted directly; one subprocess test covers the installed entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from hydrobrackets import config as cfgmod
 from hydrobrackets import library
 from hydrobrackets.cli import main
 from hydrobrackets.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL_EXAMPLES = [
     "canonical", "epsilon3", "hopf", "polar_plane", "shallow_water",
@@ -301,8 +305,25 @@ def test_jacobi_ultralocal_bracket(capsys):
 
 # --- entry point ----------------------------------------------------------------
 
+def child_env():
+    """Environment for a child interpreter that imports the package from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_installed_entry_point():
     proc = subprocess.run([sys.executable, "-m", "hydrobrackets.cli", "examples"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.split() == ALL_EXAMPLES
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only pencils and sampled flows need scipy; it is imported on first use."""
+    code = "import sys, hydrobrackets.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

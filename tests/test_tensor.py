@@ -7,7 +7,7 @@ from conftest import (
 )
 from hydrobrackets import tensor as tz
 from hydrobrackets.errors import DegenerateHyperbolicityWarning, SingularMetricError
-from hydrobrackets.system import Box, SystemDef, sample_box
+from hydrobrackets.system import Box, SystemDef, halton_points, sample_box
 
 
 # --- independent finite-difference oracles (frozen) --------------------------
@@ -97,6 +97,47 @@ def test_sample_box_deterministic_and_inside():
     with_extra = sample_box(box, 64, extra=[(1.0, 0.0)])
     assert with_extra.shape == (65, 2)
     assert tuple(with_extra[-1]) == (1.0, 0.0)
+
+
+def radical_inverse(index, base):
+    """Scalar radical inverse, the digit-by-digit definition (frozen)."""
+    inv, denom = 0.0, 1.0
+    while index > 0:
+        index, digit = divmod(index, base)
+        denom *= base
+        inv += digit / denom
+    return inv
+
+
+def test_halton_points_bit_identical_to_scalar_definition():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    pts = halton_points(4096, len(primes))
+    oracle = np.array([[radical_inverse(i + 1, b) for b in primes]
+                       for i in range(4096)])
+    assert np.array_equal(pts, oracle)
+    for count in (0, 1, 2, 7, 64, 65):
+        for dim in range(1, len(primes) + 1):
+            assert np.array_equal(halton_points(count, dim), oracle[:count, :dim])
+    with pytest.raises(ValueError):
+        halton_points(4, len(primes) + 1)
+
+
+def test_table_views():
+    sys = SystemDef(["x", "y"], g_upper=[["x*y", "2"], ["k", "y^2"]],
+                    params={"k": 3.0})
+    pts = np.array([[1.0, 2.0], [0.5, -1.0]])
+    values = tz.table_at(sys, sys.g_upper, pts)
+    assert values.shape == (2, 2, 2)
+    assert np.array_equal(values[:, 0, 1], [2.0, 2.0])
+    assert np.array_equal(values[:, 1, 0], [3.0, 3.0])
+    assert np.array_equal(values[:, 0, 0], [2.0, -0.5])
+    d1 = tz.table_d1_at(sys, sys.g_upper, pts)
+    assert d1.shape == (2, 2, 2, 2)
+    assert np.array_equal(d1[:, 0, 0, 0], pts[:, 1])      # d(xy)/dx
+    assert np.array_equal(d1[:, 1, 1, 1], 2 * pts[:, 1])  # d(y^2)/dy
+    assert np.array_equal(d1[:, :, 0, 1], np.zeros((2, 2)))
+    # single points are accepted as well
+    assert np.array_equal(tz.table_at(sys, sys.g_upper, pts[1]), values[1:])
 
 
 # --- metric ------------------------------------------------------------------

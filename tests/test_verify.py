@@ -199,6 +199,25 @@ def test_check_ferapontov_commutativity_tolerance_is_absolute():
     assert rep.verdict == "NOT_A_BRACKET"
 
 
+def test_check_ferapontov_later_affinor_nan_fails_with_witness():
+    # the zero affinor comes first; the overflowing one must not be dropped
+    # by the merge over the family
+    sys = SystemDef(["U1", "U2"], g_upper=[["1", "0"], ["0", "1"]],
+                    affinors=[(1.0, [["0", "0"], ["0", "0"]]),
+                              (1.0, [["exp(800*U1)", "0"], ["0", "exp(800*U1)"]])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify.check_ferapontov(sys)
+    assert rep.verdict == "NOT_A_BRACKET"
+    for name in ("metric-affinor-symmetry", "covariant-derivative-symmetry",
+                 "affinor-commutativity"):
+        check = by_name(rep, name)
+        assert np.isnan(check.residual), name
+        assert not check.passed, name
+        # exp(800*U1) overflows only where U1 > log(max float)/800 ~ 0.887
+        assert check.witness is not None and check.witness[0] > 0.88, name
+    assert by_name(rep, "metric-symmetry").passed
+
+
 # --- check_liouville ------------------------------------------------------------
 
 def test_check_liouville_constant_potential():
