@@ -137,29 +137,6 @@ def cmd_flat_coords(args):
     return PASS if chart.passed else FAIL
 
 
-def _spacetime_window(sys, flow, seed):
-    """Derive a solve window around the hodograph image of the seed point.
-
-    The window is sized from the inverse Jacobian so the solution branch
-    stays well inside the sampled coordinate box.
-    """
-    seed = np.asarray(seed, dtype=float)
-    w = flow.w_at(seed)
-    v = hg.speeds_at(sys, seed[None, :])[0]
-    if sys.N < 2:
-        raise ConfigError("hodograph section needs explicit x_window/t_window "
-                          "for single-component systems")
-    tstar = (w[0] - w[1]) / (v[0] - v[1])
-    xstar = w[0] - tstar * v[0]
-    jac = flow.dw_at(seed) - tstar * hg.speeds_d1_at(sys, seed[None, :])[0].T
-    dr_dx = np.linalg.solve(jac, np.ones(sys.N))
-    dr_dt = np.linalg.solve(jac, v)
-    half = 0.5 * (np.asarray(sys.box.hi) - np.asarray(sys.box.lo))
-    dx = float(np.min(0.3 * half / np.abs(dr_dx)))
-    dt = float(np.min(0.3 * half / np.abs(dr_dt)))
-    return (xstar - dx, xstar + dx), (tstar - dt, tstar + dt)
-
-
 def cmd_hodograph(args):
     lc = _resolve(args.config)
     sys_, tol = lc.system, lc.tolerances
@@ -192,7 +169,7 @@ def cmd_hodograph(args):
         x_window = tuple(section["x_window"])
         t_window = tuple(section["t_window"])
     else:
-        x_window, t_window = _spacetime_window(sys_, flow, seed)
+        x_window, t_window = hg.spacetime_window(sys_, flow, seed)
     sol = hg.hodograph_solve(sys_, flow, x_window=x_window, t_window=t_window,
                              nx=section.get("nx", 256), nt=section.get("nt", 33),
                              seed=seed, newton_tol=tol["newton_tol"])

@@ -12,6 +12,8 @@ Arithmetic operators on nodes (``a + b``, ``-a``, ``a ** b``) build new trees
 through light constant folding (``0*x -> 0``, ``x+0 -> x``, ``1*x -> x`` and
 friends), which keeps repeated differentiation from blowing up the tree.
 ``parse`` itself never folds: the tree mirrors the source.
+`evaluate_table` evaluates an object array of expressions over a point
+batch; it is the one path by which the other modules evaluate expressions.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .errors import DomainError, ExprSyntaxError, UnknownSymbolError
 
 __all__ = [
     "Expr", "Number", "Name", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "Call", "FUNCTIONS", "parse", "differentiate", "evaluate", "to_source",
-    "free_names",
+    "Call", "FUNCTIONS", "parse", "differentiate", "evaluate", "evaluate_table",
+    "to_source", "free_names",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
@@ -528,6 +530,27 @@ def evaluate(e: Expr, env) -> float | np.ndarray:
         carries the offending subexpression.
     """
     return _eval(e, env)
+
+
+def evaluate_table(exprs, names, params, pts) -> np.ndarray:
+    """Values of the object array ``exprs`` over a batch of points.
+
+    ``pts[..., i]`` is the value of ``names[i]`` and ``params`` maps the
+    other free symbols; the result has shape ``pts.shape[:-1] + exprs.shape``.
+    An expression object held by several entries is evaluated once, constant
+    entries are broadcast over the batch, and `DomainError` propagates as
+    from `evaluate`.
+    """
+    pts = np.asarray(pts, dtype=float)
+    env = dict(params)
+    env.update((c, pts[..., i]) for i, c in enumerate(names))
+    batch = pts.shape[:-1]
+    out = np.empty(batch + (exprs.size,))
+    first = {}
+    for k, e in enumerate(exprs.flat):
+        seen = first.setdefault(id(e), k)
+        out[..., k] = out[..., seen] if seen != k else evaluate(e, env)
+    return out.reshape(batch + exprs.shape)
 
 
 # --- printing --------------------------------------------------------------

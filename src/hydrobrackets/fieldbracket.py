@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ShapeMismatchError, StepTooSmallWarning
-from .expr import Expr, differentiate, evaluate, free_names, parse
+from .expr import Expr, differentiate, evaluate_table, free_names, parse
 from .system import SystemDef
 
 DEFAULT_H_STEP = 1e-5
@@ -82,11 +82,6 @@ class GridField:
     def x(self):
         return np.arange(self.values.shape[1]) * self.dx
 
-    @classmethod
-    def from_functions(cls, fns, m):
-        x = np.arange(m) * (2.0 * math.pi / m)
-        return cls(np.array([np.broadcast_to(f(x), x.shape) for f in fns]))
-
 
 def spectral_dx(values):
     """Fourier differentiation along the last axis.
@@ -123,16 +118,12 @@ class Functional:
         if extra:
             raise ValueError(f"density references undeclared names {sorted(extra)}")
         self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
-
-    def _env(self, values):
-        env = dict(self.params)
-        for k, c in enumerate(self.coords):
-            env[c] = values[..., k, :]
-        return env
+        self._density_table = np.array(self.density, dtype=object)
+        self._gradient_table = np.array(self.gradient, dtype=object)
 
     def value(self, U: GridField) -> float:
-        dens = np.broadcast_to(evaluate(self.density, self._env(U.values)),
-                               (U.n_points,))
+        dens = evaluate_table(self._density_table, self.coords, self.params,
+                              U.values.T)
         return float(np.sum(dens) * U.dx)
 
     def variational(self, U: GridField):
@@ -141,11 +132,10 @@ class Functional:
 
     def _variational(self, values):
         """delta F / delta U of fields stacked as (..., N, M), same shape."""
-        env = self._env(values)
-        out = np.empty(values.shape)
-        for k, g in enumerate(self.gradient):
-            out[..., k, :] = evaluate(g, env)
-        return out
+        # the fields as points (..., M, N), component last
+        grad = evaluate_table(self._gradient_table, self.coords, self.params,
+                              np.swapaxes(values, -1, -2))
+        return np.ascontiguousarray(np.swapaxes(grad, -1, -2))
 
 
 def random_polynomial_functional(coords, *, degree=3, seed=0, scale=1.0,

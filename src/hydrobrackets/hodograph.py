@@ -25,7 +25,7 @@ from .errors import (
     HyperbolicityViolationError, NonConvergenceError, RegionTooSmallError,
     SeedOutOfBoxError,
 )
-from .expr import Expr, differentiate, evaluate, free_names, parse
+from .expr import Expr, differentiate, evaluate_table, free_names, parse
 from .system import Box, SystemDef, sample_box
 from .verify import _argmax_abs, _worse
 
@@ -33,6 +33,7 @@ TOL_ZERO = 1e-9
 TOL_GOURSAT = 1e-5
 GAP_TOL = 1e-8
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
 
 
 def _require_diagonal(sys: SystemDef):
@@ -52,20 +53,9 @@ def speeds_d1_at(sys: SystemDef, pts):
     return tz.table_d1_at(sys, sys.v_diag, pts)
 
 
-def _min_gap(speeds):
-    """Smallest pairwise velocity separation per point, shape (P,)."""
-    n = speeds.shape[1]
-    if n < 2:
-        return np.full(len(speeds), math.inf)
-    gaps = np.full(len(speeds), math.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gaps = np.minimum(gaps, np.abs(speeds[:, i] - speeds[:, j]))
-    return gaps
-
-
 def _check_hyperbolicity(sys, pts, gap_tol):
-    gaps = _min_gap(speeds_at(sys, pts))
+    # smallest pairwise velocity separation per point; NaN gaps propagate
+    gaps = np.min(tz.pairwise_gaps(speeds_at(sys, pts)), axis=1, initial=math.inf)
     # argmin returns the first NaN when there is one
     worst = int(np.argmin(gaps))
     if not gaps[worst] > gap_tol:
@@ -77,25 +67,19 @@ def _check_hyperbolicity(sys, pts, gap_tol):
 
 def _values_at(sys, exprs, pts):
     """Values of a sequence of expressions at a point batch, shape (P, len)."""
-    table = np.empty(len(exprs), dtype=object)
-    for k, e in enumerate(exprs):
-        table[k] = e
-    return tz.table_at(sys, table, pts)
+    return tz.table_at(sys, np.array(exprs, dtype=object), pts)
 
 
 def _a_table(sys: SystemDef):
     """a[nu][mu] = d_mu v^nu / (v^mu - v^nu) as expressions, mu != nu."""
-    def build():
-        n = sys.N
-        out = np.empty((n, n), dtype=object)
-        for nu in range(n):
-            for mu in range(n):
-                if mu == nu:
-                    continue
+    n = sys.N
+    out = np.empty((n, n), dtype=object)
+    for nu in range(n):
+        for mu in range(n):
+            if mu != nu:
                 out[nu, mu] = (differentiate(sys.v_diag[nu], sys.coords[mu])
                                / (sys.v_diag[mu] - sys.v_diag[nu]))
-        return out
-    return tz._memo(sys, "hodograph-a", build)
+    return out
 
 
 @dataclass
@@ -191,8 +175,10 @@ class CommutingFlow:
             raise ValueError("flow needs either closed-form exprs or sampled values")
         if exprs is not None:
             self.kind = "closed-form"
-            self._dexprs = tuple(tuple(differentiate(e, c) for c in self.coords)
-                                 for e in exprs)
+            self._w = np.array(exprs, dtype=object)
+            # [nu, mu] = d w^nu / d R^mu
+            self._dw = np.array([[differentiate(e, c) for c in self.coords]
+                                 for e in exprs], dtype=object)
             self._splines = None
         else:
             self.kind = "sampled"
@@ -211,26 +197,17 @@ class CommutingFlow:
         return Box((float(self.axes[0][0]), float(self.axes[1][0])),
                    (float(self.axes[0][-1]), float(self.axes[1][-1])))
 
-    def _env(self, point):
-        env = dict(self.params)
-        for k, c in enumerate(self.coords):
-            env[c] = float(point[k])
-        return env
-
     def w_at(self, point):
         """w components at one point, shape (N,)."""
         if self.kind == "closed-form":
-            env = self._env(point)
-            return np.array([float(evaluate(e, env)) for e in self.exprs])
+            return evaluate_table(self._w, self.coords, self.params, point)
         return np.array([float(s(point[0], point[1], grid=False))
                          for s in self._splines])
 
     def dw_at(self, point):
         """Jacobian d w^nu / d R^mu at one point, shape (N, N)."""
         if self.kind == "closed-form":
-            env = self._env(point)
-            return np.array([[float(evaluate(d, env)) for d in row]
-                             for row in self._dexprs])
+            return evaluate_table(self._dw, self.coords, self.params, point)
         return np.array([[float(s(point[0], point[1], dx=1, grid=False)),
                           float(s(point[0], point[1], dy=1, grid=False))]
                          for s in self._splines])
@@ -333,14 +310,9 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
     w2e = parse(w2, symbols) if isinstance(w2, str) else w2
     w = np.empty((2, n1, n2))
     w.fill(np.nan)
-    env1 = dict(sys.params)
-    env1[sys.coords[0]] = r1
-    env1[sys.coords[1]] = np.full(n1, r2[j0])
-    w[0, :, j0] = np.broadcast_to(np.asarray(evaluate(w1e, env1), float), (n1,))
-    env2 = dict(sys.params)
-    env2[sys.coords[0]] = np.full(n2, r1[i0])
-    env2[sys.coords[1]] = r2
-    w[1, i0, :] = np.broadcast_to(np.asarray(evaluate(w2e, env2), float), (n2,))
+    # boundary data on the axis lines R^2 = r2[j0] and R^1 = r1[i0]
+    w[0, :, j0] = _values_at(sys, [w1e], grid[:, j0])[:, 0]
+    w[1, i0, :] = _values_at(sys, [w2e], grid[i0, :])[:, 0]
 
     # complete the boundary cross: the partner component on each axis line
     for direction in (1, -1):
@@ -405,11 +377,11 @@ class HodographSolution:
         return int(np.sum(self.converged))
 
 
-def _newton_point(x, t, start, flow, v_at, dv_at, box, tol, max_iter):
+def _newton_point(x, t, start, flow, v_at, dv_at, box, tol):
     r = np.array(start, dtype=float)
     f = flow.w_at(r) - t * v_at(r) - x
     fnorm = float(np.max(np.abs(f)))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if fnorm < tol:
             break
         jac = flow.dw_at(r) - t * dv_at(r)
@@ -433,15 +405,46 @@ def _newton_point(x, t, start, flow, v_at, dv_at, box, tol, max_iter):
     return r, fnorm, ok
 
 
+def spacetime_window(sys: SystemDef, flow: CommutingFlow, seed):
+    """A solve window ``(x_window, t_window)`` around the image of ``seed``.
+
+    The window is centered on the spacetime point (x*, t*) where the seed
+    solves the first two equations w^nu(R) = t v^nu(R) + x, and sized from
+    the inverse Jacobian so the solution branch stays well inside the
+    coordinate box.
+
+    Raises
+    ------
+    ValueError
+        For single-component systems, which need an explicit window.
+    """
+    if sys.N < 2:
+        raise ValueError("hodograph section needs explicit x_window/t_window "
+                         "for single-component systems")
+    seed = np.asarray(seed, dtype=float)
+    w = flow.w_at(seed)
+    v = speeds_at(sys, seed[None, :])[0]
+    tstar = (w[0] - w[1]) / (v[0] - v[1])
+    xstar = w[0] - tstar * v[0]
+    jac = flow.dw_at(seed) - tstar * speeds_d1_at(sys, seed[None, :])[0].T
+    dr_dx = np.linalg.solve(jac, np.ones(sys.N))
+    dr_dt = np.linalg.solve(jac, v)
+    half = 0.5 * (np.asarray(sys.box.hi) - np.asarray(sys.box.lo))
+    dx = float(np.min(0.3 * half / np.abs(dr_dx)))
+    dt = float(np.min(0.3 * half / np.abs(dr_dt)))
+    return (xstar - dx, xstar + dx), (tstar - dt, tstar + dt)
+
+
 def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
                     nx: int = 256, nt: int = 33, seed,
-                    rbox: Box | None = None, newton_tol: float = NEWTON_TOL,
-                    max_iter: int = 60) -> HodographSolution:
+                    newton_tol: float = NEWTON_TOL) -> HodographSolution:
     """Solve w^nu(R) = t v^nu(R) + x on a spacetime grid by damped Newton.
 
     Marches in x along the first time row and upward in t afterwards, warm
-    starting every point from its already-solved neighbor.  Diverged points
-    are flagged, not fatal: characteristics may focus inside the window.
+    starting every point from its already-solved neighbor, with at most
+    ``NEWTON_MAX_ITER`` iterations per point.  R must stay in the box of a
+    sampled flow, else in the system's box.  Diverged points are flagged,
+    not fatal: characteristics may focus inside the window.
 
     Raises
     ------
@@ -451,7 +454,7 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
     _require_diagonal(sys)
     if len(flow.coords) != sys.N:
         raise ValueError("flow and system component counts differ")
-    box = rbox or (flow.box if flow.kind == "sampled" else sys.box)
+    box = flow.box if flow.kind == "sampled" else sys.box
     seed = tuple(float(v) for v in seed)
     if len(seed) != sys.N:
         raise ValueError(f"seed must have {sys.N} components")
@@ -481,7 +484,7 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
             else:
                 start = last_good
             r, fnorm, ok = _newton_point(x, t, start, flow, v_at, dv_at, box,
-                                         newton_tol, max_iter)
+                                         newton_tol)
             rr[k, i] = r
             res[k, i] = fnorm
             conv[k, i] = ok

@@ -11,7 +11,8 @@ Batched functions (suffix ``_at``) take an array of points with shape
 single-point operations wrap them in `TensorValue`.  `table_at` and
 `table_d1_at` evaluate any object array of expressions, or its exact first
 derivatives, over a point batch; other modules use them for their own
-tables.
+tables.  `table_at` delegates to `expr.evaluate_table`, and so evaluates
+every table here, the geometry pass's included.
 
 Geometry pass: the metric-derived tensors come from one evaluation per
 point batch (`_geometry`).  It evaluates the ``g_upper`` table once,
@@ -44,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHyperbolicityWarning, SingularMetricError
-from .expr import differentiate, evaluate
+# not called here: perfbench/selftest.py checks the tracer wraps tensor.evaluate
+from .expr import differentiate, evaluate, evaluate_table  # noqa: F401
 from .system import SystemDef
 
 DET_FLOOR = 1e-300
@@ -105,7 +107,7 @@ def _d2_table(sys: SystemDef, exprs):
     """Object array of ``d^2 exprs / dU^r dU^q``, two leading coordinate axes.
 
     Mixed partials commute, so the ``(q, r)`` entry is the same expression
-    object as the ``(r, q)`` one and `_eval_table` evaluates it once.
+    object as the ``(r, q)`` one and `expr.evaluate_table` evaluates it once.
     """
     def build():
         d1 = _d1_table(sys, exprs)
@@ -129,32 +131,14 @@ def _points(sys, pts):
     return pts, single
 
 
-def _env(sys, pts):
-    env = {c: pts[:, i] for i, c in enumerate(sys.coords)}
-    env.update(sys.params)
-    return env
-
-
-def _eval_table(exprs, env, count):
-    out = np.empty((count,) + exprs.shape)
-    first = {}     # an expression object held by several entries is evaluated once
-    for idx in np.ndindex(*exprs.shape):
-        e = exprs[idx]
-        seen = first.setdefault(id(e), idx)
-        if seen != idx:
-            out[(slice(None),) + idx] = out[(slice(None),) + seen]
-        else:
-            out[(slice(None),) + idx] = np.asarray(evaluate(e, env), dtype=float)
-    return out
-
-
 def table_at(sys: SystemDef, exprs, pts):
     """Values of an object array of expressions over a point batch.
 
-    Returns shape ``(P,) + exprs.shape``; constant entries are broadcast.
+    Returns shape ``(P,) + exprs.shape``; `expr.evaluate_table` evaluates
+    each distinct entry once and broadcasts constant entries.
     """
     pts, _ = _points(sys, pts)
-    return _eval_table(exprs, _env(sys, pts), len(pts))
+    return evaluate_table(exprs, sys.coords, sys.params, pts)
 
 
 def table_d1_at(sys: SystemDef, exprs, pts):
@@ -189,20 +173,24 @@ def metric_upper_at(sys: SystemDef, pts):
     return table_at(sys, sys.g_upper, pts)
 
 
+def _witness(pts, bad):
+    """The first flagged point as a tuple of plain floats."""
+    return tuple(float(v) for v in pts[int(np.argmax(bad))])
+
+
 def _guarded_inverse(upper, pts):
     dets = np.linalg.det(upper)
     bad = np.abs(dets) < DET_FLOOR
     if np.any(bad):
-        where = pts[int(np.argmax(bad))]
+        where = _witness(pts, bad)
         raise SingularMetricError(
-            f"metric determinant below {DET_FLOOR:g} at {tuple(where)}", tuple(where))
+            f"metric determinant below {DET_FLOOR:g} at {where}", where)
     conds = np.linalg.cond(upper)
     bad = ~(conds < COND_CEILING)
     if np.any(bad):
-        where = pts[int(np.argmax(bad))]
+        where = _witness(pts, bad)
         raise SingularMetricError(
-            f"metric condition number above {COND_CEILING:g} at {tuple(where)}",
-            tuple(where))
+            f"metric condition number above {COND_CEILING:g} at {where}", where)
     return np.linalg.inv(upper)
 
 
@@ -246,20 +234,19 @@ def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
     if sys.g_upper is None:
         raise ValueError("system declares no metric")
     pts, _ = _points(sys, pts)
-    env, count = _env(sys, pts), len(pts)
-    upper = _eval_table(sys.g_upper, env, count)
+    upper = table_at(sys, sys.g_upper, pts)
     lower = _guarded_inverse(upper, pts)
     declared = sys.b is not None and not levi_civita
     if declared:
         # Gamma^n_{ml} = -g_{ms} b^{sn}_l
-        b = _eval_table(sys.b, env, count)
+        b = table_at(sys, sys.b, pts)
         gamma = np.swapaxes(_apply(-lower, b, 1), 1, 2)
         if not derivative:
             return upper, gamma, None
-    upper_d1 = _eval_table(_d1_table(sys, sys.g_upper), env, count)
+    upper_d1 = table_d1_at(sys, sys.g_upper, pts)
     l1 = _lower_d1(lower, upper_d1)
     if declared:
-        b1 = _eval_table(_d1_table(sys, sys.b), env, count)
+        b1 = table_d1_at(sys, sys.b, pts)
         gamma_d1 = _apply(lower[:, None], b1, 2)
         del b1
         gamma_d1 += _apply(l1, b[:, None], 2)
@@ -271,7 +258,7 @@ def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
     gamma = 0.5 * _apply(upper, s, 1)
     if not derivative:
         return upper, gamma, None
-    upper_d2 = _eval_table(_d2_table(sys, sys.g_upper), env, count)
+    upper_d2 = table_at(sys, _d2_table(sys, sys.g_upper), pts)
     l2 = _lower_d2(lower, upper_d1, l1, upper_d2)
     del upper_d2
     s1 = np.transpose(l2, (0, 1, 3, 2, 4)) + np.transpose(l2, (0, 1, 3, 4, 2))
@@ -386,19 +373,23 @@ def hantjes_at(sys: SystemDef, pts, warn_degenerate=True):
     return out
 
 
+def pairwise_gaps(values):
+    """``|values[:, i] - values[:, j]|`` for every pair ``i < j``.
+
+    Returns shape ``(P, N (N - 1) / 2)`` with the pairs in row-major
+    `np.triu_indices` order; NaN entries give NaN gaps.
+    """
+    i, j = np.triu_indices(values.shape[1], 1)
+    return np.abs(values[:, i] - values[:, j])
+
+
 def _warn_on_eigenvalue_collision(v, pts):
     eigs = np.linalg.eigvals(v)
     scale = 1.0 + np.max(np.abs(eigs), axis=1)
-    n = eigs.shape[1]
-    if n < 2:
-        return
-    gaps = np.full(len(eigs), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gaps = np.minimum(gaps, np.abs(eigs[:, i] - eigs[:, j]))
+    gaps = np.min(pairwise_gaps(eigs), axis=1, initial=np.inf)
     bad = gaps < 1e-8 * scale
     if np.any(bad):
-        where = tuple(pts[int(np.argmax(bad))])
+        where = _witness(pts, bad)
         warnings.warn(
             f"coefficient operator has coinciding eigenvalues near {where}",
             DegenerateHyperbolicityWarning, stacklevel=3)

@@ -32,6 +32,8 @@ TOL_FLAT = 1e-7
 # commutativity of affinor pairs is always judged at this absolute scale,
 # independent of the user-supplied zero tolerance
 TOL_COMMUTE = 1e-9
+# Runge-Kutta steps of the flat-coordinate transport per axis extent
+RK4_STEPS_PER_EXTENT = 256
 
 VERDICT_DN = "DN_FLAT"
 VERDICT_MF = "MF_CONST_CURV"
@@ -382,21 +384,18 @@ def pencil_regularity(sys1: SystemDef, sys2: SystemDef, *,
     g1 = tz.metric_upper_at(sys1, pts)
     g2 = tz.metric_upper_at(sys2, pts)
     all_roots = np.empty((len(pts), sys1.N), dtype=complex)
-    min_gap, witness = math.inf, None
     for p in range(len(pts)):
         roots = scipy.linalg.eigvals(g1[p], g2[p])
-        order = np.lexsort((roots.imag, roots.real))
-        roots = roots[order]
-        all_roots[p] = roots
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                gap = abs(roots[i] - roots[j])
-                if not np.isfinite(gap):
-                    gap = 0.0
-                if gap < min_gap:
-                    min_gap, witness = gap, tuple(float(v) for v in pts[p])
+        all_roots[p] = roots[np.lexsort((roots.imag, roots.real))]
+    # a non-finite root gap counts as a collision
+    gaps = tz.pairwise_gaps(all_roots)
+    gaps[~np.isfinite(gaps)] = 0.0
+    per_point = np.min(gaps, axis=1, initial=math.inf)
+    worst = int(np.argmin(per_point))
+    min_gap = float(per_point[worst])
+    witness = tuple(float(v) for v in pts[worst]) if gaps.size else None
     regular = bool(min_gap > tol_gap)
-    return PencilReport((sys1.name, sys2.name), all_roots, float(min_gap),
+    return PencilReport((sys1.name, sys2.name), all_roots, min_gap,
                         tol_gap, regular, witness)
 
 
@@ -533,16 +532,15 @@ def _develop(sys, basepoint, frame, axes, order, h_max):
 
 def develop_flat_coords(sys: SystemDef, *, box: Box | None = None,
                         resolution: int = 64, basepoint=None,
-                        tol_flat: float = TOL_FLAT,
-                        resolution_multiplier: int = 4) -> FlatChart:
+                        tol_flat: float = TOL_FLAT) -> FlatChart:
     """Develop canonical flat coordinates of a flat metric over a grid.
 
     The chart gradient is transported along axis-aligned paths from the
-    basepoint with fixed-step classical Runge-Kutta (step = axis extent
-    divided by ``64 * resolution_multiplier``), so results are exactly
-    reproducible.  Integration is run in two different axis orders; if the
-    two disagree beyond ``10 * tol_flat`` the metric is not flat on the box
-    and `NotFlatError` is raised.
+    basepoint with fixed-step classical Runge-Kutta (step at most the axis
+    extent / ``RK4_STEPS_PER_EXTENT``, whatever the grid resolution), so
+    results are exactly reproducible.  Integration is run in two different
+    axis orders; if the two disagree beyond ``10 * tol_flat`` the metric is
+    not flat on the box and `NotFlatError` is raised.
 
     Returns
     -------
@@ -557,7 +555,7 @@ def develop_flat_coords(sys: SystemDef, *, box: Box | None = None,
         raise ValueError(f"basepoint {basepoint} lies outside the box")
     axes = tuple(np.linspace(lo, hi, resolution + 1)
                  for lo, hi in zip(box.lo, box.hi))
-    h_max = [ext / (64.0 * resolution_multiplier) for ext in box.extent]
+    h_max = [ext / RK4_STEPS_PER_EXTENT for ext in box.extent]
     frame, signature = _frame_at(sys, basepoint)
 
     order = tuple(range(nn))

@@ -68,18 +68,8 @@ def max_jacobi_over_triples(sys_, field, n_triples=20, m_seed=0):
 def windowed_solve(sys_, flow, seed_point, nx=64, nt=17):
     """Center the spacetime window where the hodograph map is invertible."""
     rstar = np.asarray(seed_point, dtype=float)
-    w = flow.w_at(rstar)
-    v = hg.speeds_at(sys_, rstar[None, :])[0]
-    tstar = (w[0] - w[1]) / (v[0] - v[1])
-    xstar = w[0] - tstar * v[0]
-    jac = flow.dw_at(rstar) - tstar * hg.speeds_d1_at(sys_, rstar[None, :])[0].T
-    dr_dx = np.linalg.solve(jac, np.ones(2))
-    dr_dt = np.linalg.solve(jac, v)
-    half = 0.5 * (np.array(sys_.box.hi) - np.array(sys_.box.lo))
-    dx = float(np.min(0.3 * half / np.abs(dr_dx)))
-    dt = float(np.min(0.3 * half / np.abs(dr_dt)))
-    return hg.hodograph_solve(sys_, flow, x_window=(xstar - dx, xstar + dx),
-                              t_window=(tstar - dt, tstar + dt),
+    x_window, t_window = hg.spacetime_window(sys_, flow, rstar)
+    return hg.hodograph_solve(sys_, flow, x_window=x_window, t_window=t_window,
                               nx=nx, nt=nt, seed=rstar)
 
 

@@ -382,18 +382,8 @@ def solve_shallow_water(flow, nx=64, nt=17):
     """Window the spacetime grid so R stays inside the sampled box."""
     sys = shallow_water_riemann_system()
     rstar = np.array([1.5, 3.5])
-    w = flow.w_at(rstar)
-    v = hg.speeds_at(sys, rstar[None, :])[0]
-    tstar = (w[0] - w[1]) / (v[0] - v[1])
-    xstar = w[0] - tstar * v[0]
-    jac = flow.dw_at(rstar) - tstar * hg.speeds_d1_at(sys, rstar[None, :])[0].T
-    dr_dx = np.linalg.solve(jac, np.ones(2))
-    dr_dt = np.linalg.solve(jac, v)
-    half = 0.5 * (np.array(sys.box.hi) - np.array(sys.box.lo))
-    dx = float(np.min(0.3 * half / np.abs(dr_dx)))
-    dt = float(np.min(0.3 * half / np.abs(dr_dt)))
-    return hg.hodograph_solve(sys, flow, x_window=(xstar - dx, xstar + dx),
-                              t_window=(tstar - dt, tstar + dt),
+    x_window, t_window = hg.spacetime_window(sys, flow, rstar)
+    return hg.hodograph_solve(sys, flow, x_window=x_window, t_window=t_window,
                               nx=nx, nt=nt, seed=rstar)
 
 
