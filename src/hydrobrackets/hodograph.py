@@ -2,10 +2,11 @@
 
 Three stages: the compatibility check on the characteristic velocities
 (`semi_hamiltonian_check`), construction of a commuting flow w(R), either
-user-supplied in closed form or integrated for two-component systems by
-Goursat marching (`integrate_commuting_flow`), and the algebraic solve
-w^nu(R) = t v^nu(R) + x per spacetime gridpoint (`hodograph_solve`) with an
-independent finite-difference residual audit (`verify_solution`).
+user-supplied in closed form or integrated for two-component systems by a
+Goursat march swept by anti-diagonals (`integrate_commuting_flow`), and the
+algebraic solve w^nu(R) = t v^nu(R) + x per spacetime gridpoint, a time row
+at a time (`hodograph_solve`), with an independent finite-difference
+residual audit (`verify_solution`).
 
 Closed-form flows differentiate exactly; grid-sampled flows interpolate
 with bicubic splines, whose interpolation error is the dominant error term
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import (
-    HyperbolicityViolationError, NonConvergenceError, RegionTooSmallError,
-    SeedOutOfBoxError,
+    DomainError, HyperbolicityViolationError, NonConvergenceError,
+    RegionTooSmallError, SeedOutOfBoxError,
 )
 from .expr import Expr, differentiate, evaluate_table, free_names, parse
 from .system import Box, SystemDef, sample_box
@@ -198,19 +199,28 @@ class CommutingFlow:
                    (float(self.axes[0][-1]), float(self.axes[1][-1])))
 
     def w_at(self, point):
-        """w components at one point, shape (N,)."""
+        """w components at one point ``(N,)`` or a batch ``(P, N)``.
+
+        Returns shape ``(N,)`` or ``(P, N)``; a sampled flow makes one
+        vectorised spline call per component.
+        """
         if self.kind == "closed-form":
             return evaluate_table(self._w, self.coords, self.params, point)
-        return np.array([float(s(point[0], point[1], grid=False))
-                         for s in self._splines])
+        r1, r2 = np.moveaxis(np.asarray(point, dtype=float), -1, 0)
+        return np.stack([s(r1, r2, grid=False) for s in self._splines], axis=-1)
 
     def dw_at(self, point):
-        """Jacobian d w^nu / d R^mu at one point, shape (N, N)."""
+        """Jacobian d w^nu / d R^mu at one point or a batch.
+
+        Returns shape ``(N, N)`` or ``(P, N, N)`` with nu on the first
+        matrix axis.
+        """
         if self.kind == "closed-form":
             return evaluate_table(self._dw, self.coords, self.params, point)
-        return np.array([[float(s(point[0], point[1], dx=1, grid=False)),
-                          float(s(point[0], point[1], dy=1, grid=False))]
-                         for s in self._splines])
+        r1, r2 = np.moveaxis(np.asarray(point, dtype=float), -1, 0)
+        return np.stack([np.stack([s(r1, r2, dx=1, grid=False),
+                                   s(r1, r2, dy=1, grid=False)], axis=-1)
+                         for s in self._splines], axis=-2)
 
 
 def closed_form_flow(sys: SystemDef, exprs, *, box: Box | None = None,
@@ -273,9 +283,11 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
     ``w1`` prescribes w^1 on the line R^2 = basepoint[1] and ``w2``
     prescribes w^2 on the line R^1 = basepoint[0]; both are expressions in
     the coordinates.  The coupled equations d_2 w^1 = a_{12}(w^2 - w^1),
-    d_1 w^2 = a_{21}(w^1 - w^2) are marched cell by cell with the implicit
-    trapezoidal rule (one 2x2 linear solve per cell), outward from the
-    basepoint, which must lie on the grid (default: the box corner).
+    d_1 w^2 = a_{21}(w^1 - w^2) are marched with the implicit trapezoidal
+    rule (one 2x2 linear solve per cell), outward from the basepoint, which
+    must lie on the grid (default: the box corner).  A cell needs only its
+    two inner neighbours, so each quadrant is swept by anti-diagonals, one
+    vectorised step per diagonal.
 
     The returned flow carries the defining-relation residual measured by
     interior central differences; second-order convergence in the grid step
@@ -319,35 +331,48 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
         _march_boundary(w[1, :, j0], w[0, :, j0], a21[:, j0], r1, i0, direction)
         _march_boundary(w[0, i0, :], w[1, i0, :], a12[i0, :], r2, j0, direction)
 
-    for sx in (1, -1):
-        for sy in (1, -1):
-            irange = range(i0 + sx, n1 if sx > 0 else -1, sx)
-            jrange = range(j0 + sy, n2 if sy > 0 else -1, sy)
-            for j in jrange:
-                pj = j - sy
-                h2 = r2[j] - r2[pj]
-                for i in irange:
-                    pi = i - sx
-                    h1 = r1[i] - r1[pi]
-                    beta = 0.5 * h2 * a12[i, j]
-                    gamma = 0.5 * h1 * a21[i, j]
-                    rhs0 = (w[0, i, pj] + 0.5 * h2 * a12[i, pj]
-                            * (w[1, i, pj] - w[0, i, pj]))
-                    rhs1 = (w[1, pi, j] + 0.5 * h1 * a21[pi, j]
-                            * (w[0, pi, j] - w[1, pi, j]))
-                    det = 1.0 + beta + gamma
-                    if abs(det) < 1e-12:
-                        raise NonConvergenceError(
-                            f"singular cell solve at grid index ({i}, {j})")
-                    w[0, i, j] = ((1.0 + gamma) * rhs0 + beta * rhs1) / det
-                    w[1, i, j] = (gamma * rhs0 + (1.0 + beta) * rhs1) / det
+    quadrants = [(sx, sy, np.arange(i0 + sx, n1 if sx > 0 else -1, sx),
+                  np.arange(j0 + sy, n2 if sy > 0 else -1, sy))
+                 for sx in (1, -1) for sy in (1, -1)]
+    # the cell solve is singular where 1 + beta + gamma vanishes, which
+    # depends on a12/a21 alone: check first, in column order per quadrant
+    for sx, sy, ii, jj in quadrants:
+        h1 = r1[ii] - r1[ii - sx]
+        for j in jj:
+            det = 1.0 + 0.5 * (r2[j] - r2[j - sy]) * a12[ii, j] + 0.5 * h1 * a21[ii, j]
+            bad = np.flatnonzero(np.abs(det) < 1e-12)
+            if bad.size:
+                raise NonConvergenceError(
+                    f"singular cell solve at grid index ({ii[bad[0]]}, {j})")
+    # a cell needs its predecessors in i and in j, so the cells at one
+    # step distance a + b from the boundary cross are independent
+    for sx, sy, ii, jj in quadrants:
+        for d in range(2, ii.size + jj.size + 1):
+            a = np.arange(max(1, d - jj.size), min(ii.size, d - 1) + 1)
+            i = i0 + sx * a
+            j = j0 + sy * (d - a)
+            pi = i - sx
+            pj = j - sy
+            h1 = r1[i] - r1[pi]
+            h2 = r2[j] - r2[pj]
+            beta = 0.5 * h2 * a12[i, j]
+            gamma = 0.5 * h1 * a21[i, j]
+            rhs0 = (w[0, i, pj] + 0.5 * h2 * a12[i, pj]
+                    * (w[1, i, pj] - w[0, i, pj]))
+            rhs1 = (w[1, pi, j] + 0.5 * h1 * a21[pi, j]
+                    * (w[0, pi, j] - w[1, pi, j]))
+            det = 1.0 + beta + gamma
+            w[0, i, j] = ((1.0 + gamma) * rhs0 + beta * rhs1) / det
+            w[1, i, j] = (gamma * rhs0 + (1.0 + beta) * rhs1) / det
 
-    # defining-relation residual by interior central differences
-    d2w0 = (w[0, :, 2:] - w[0, :, :-2]) / (r2[2:] - r2[:-2])[None, :]
-    res0 = d2w0 - a12[:, 1:-1] * (w[1, :, 1:-1] - w[0, :, 1:-1])
-    d1w1 = (w[1, 2:, :] - w[1, :-2, :]) / (r1[2:] - r1[:-2])[:, None]
-    res1 = d1w1 - a21[1:-1, :] * (w[0, 1:-1, :] - w[1, 1:-1, :])
-    residual = float(max(np.max(np.abs(res0)), np.max(np.abs(res1))))
+    # defining-relation residual by interior central differences; each
+    # component is reduced before the next is formed, so that only one
+    # chain of full-grid temporaries is alive at a time
+    res0 = np.max(np.abs((w[0, :, 2:] - w[0, :, :-2]) / (r2[2:] - r2[:-2])[None, :]
+                         - a12[:, 1:-1] * (w[1, :, 1:-1] - w[0, :, 1:-1])))
+    res1 = np.max(np.abs((w[1, 2:, :] - w[1, :-2, :]) / (r1[2:] - r1[:-2])[:, None]
+                         - a21[1:-1, :] * (w[0, 1:-1, :] - w[1, 1:-1, :])))
+    residual = float(max(res0, res1))
     return CommutingFlow(sys.coords, axes=(r1, r2), values=w,
                          params=sys.params, residual=residual,
                          tol=tol_goursat, provenance="integrated")
@@ -359,9 +384,10 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
 class HodographSolution:
     """R(x, t) from the algebraic hodograph system on a spacetime grid.
 
-    ``residual`` is the Newton residual max|w - t v - x| at exit;
-    ``converged`` flags points where it met the tolerance with R inside the
-    flow's coordinate box.
+    ``residual`` is the Newton residual max|w - t v - x| at exit (NaN
+    where the start lay outside the expressions' domain); ``converged``
+    flags points where it met the tolerance with R inside the flow's
+    coordinate box.
     """
 
     system: str
@@ -377,32 +403,80 @@ class HodographSolution:
         return int(np.sum(self.converged))
 
 
-def _newton_point(x, t, start, flow, v_at, dv_at, box, tol):
-    r = np.array(start, dtype=float)
-    f = flow.w_at(r) - t * v_at(r) - x
-    fnorm = float(np.max(np.abs(f)))
+def _rows(fn, count, shape, error=DomainError):
+    """``fn(slice(None))`` for a batch of ``count`` points, and the mask of
+    the points it succeeded at.
+
+    When the batch raises ``error``, ``fn`` is called again one point at a
+    time, so only the points that raise it themselves come back masked out,
+    their rows NaN.
+    """
+    try:
+        return fn(slice(None)), np.ones(count, dtype=bool)
+    except error:
+        out = np.full((count,) + shape, np.nan)
+        good = np.zeros(count, dtype=bool)
+        for p in range(count):
+            try:
+                out[p] = fn(slice(p, p + 1))[0]
+                good[p] = True
+            except error:
+                pass
+        return out, good
+
+
+def _newton_batch(x, t, starts, sys, flow, box, tol):
+    """Damped Newton for w(R) - t v(R) - x = 0 at a batch of points.
+
+    Point p starts from ``starts[p]`` and runs its own iteration: a full
+    step, then up to 20 halvings until the residual max-norm drops or meets
+    ``tol``; it stops on convergence, a singular Jacobian, a rejected line
+    search or after ``NEWTON_MAX_ITER`` iterations.  The live points share
+    one stacked evaluation and one stacked solve per iteration, and a trial
+    that leaves the expressions' domain counts as rejected.  Returns
+    ``(R, residual, converged)``; a point whose start is outside the domain
+    keeps its start, with residual NaN.
+    """
+    r = np.array(starts, dtype=float)
+    count, n = r.shape
+
+    def resid(q, xq):
+        return flow.w_at(q) - t * speeds_at(sys, q) - xq[:, None]
+
+    def jacobian(q):
+        return flow.dw_at(q) - t * np.swapaxes(speeds_d1_at(sys, q), 1, 2)
+
+    f, live = _rows(lambda s: resid(r[s], x[s]), count, (n,))
+    fnorm = np.max(np.abs(f), axis=1)
     for _ in range(NEWTON_MAX_ITER):
-        if fnorm < tol:
+        live &= ~(fnorm < tol)
+        idx = np.flatnonzero(live)
+        if not idx.size:
             break
-        jac = flow.dw_at(r) - t * dv_at(r)
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            break
-        scale, accepted = 1.0, False
+        q, fq = r[idx], f[idx]
+        jac, evaluated = _rows(lambda s: jacobian(q[s]), idx.size, (n, n))
+        step, solved = _rows(
+            lambda s: np.linalg.solve(jac[s], fq[s, :, None])[..., 0],
+            idx.size, (n,), np.linalg.LinAlgError)
+        keep = evaluated & solved
+        live[idx[~keep]] = False
+        idx, q, step = idx[keep], q[keep], step[keep]
+        xq = x[idx]
+        scale = 1.0
         for _ in range(21):
-            rn = r - scale * step
-            fn = flow.w_at(rn) - t * v_at(rn) - x
-            fn_norm = float(np.max(np.abs(fn)))
-            if fn_norm < fnorm or fn_norm < tol:
-                accepted = True
+            if not idx.size:
                 break
+            rn = q - scale * step
+            fn = _rows(lambda s: resid(rn[s], xq[s]), idx.size, (n,))[0]
+            fn_norm = np.max(np.abs(fn), axis=1)
+            accepted = (fn_norm < fnorm[idx]) | (fn_norm < tol)
+            took = idx[accepted]
+            r[took], f[took], fnorm[took] = rn[accepted], fn[accepted], fn_norm[accepted]
+            pending = ~accepted
+            idx, q, step, xq = idx[pending], q[pending], step[pending], xq[pending]
             scale *= 0.5
-        if not accepted:
-            break
-        r, f, fnorm = rn, fn, fn_norm
-    ok = fnorm < tol and box.contains(r, pad=1e-9)
-    return r, fnorm, ok
+        live[idx] = False
+    return r, fnorm, (fnorm < tol) & box.contains(r, pad=1e-9)
 
 
 def spacetime_window(sys: SystemDef, flow: CommutingFlow, seed):
@@ -416,19 +490,31 @@ def spacetime_window(sys: SystemDef, flow: CommutingFlow, seed):
     Raises
     ------
     ValueError
-        For single-component systems, which need an explicit window.
+        For single-component systems, which need an explicit window, and
+        where the seed fixes no window: equal first two velocities, or a
+        singular Jacobian dw - t* dv at the seed.
     """
     if sys.N < 2:
         raise ValueError("hodograph section needs explicit x_window/t_window "
                          "for single-component systems")
     seed = np.asarray(seed, dtype=float)
+    where = tuple(float(c) for c in seed)
     w = flow.w_at(seed)
     v = speeds_at(sys, seed[None, :])[0]
+    if v[0] - v[1] == 0.0:
+        raise ValueError(f"cannot place a solve window at seed {where}: v1 = v2 "
+                         "there; give x_window/t_window in the hodograph section")
     tstar = (w[0] - w[1]) / (v[0] - v[1])
     xstar = w[0] - tstar * v[0]
     jac = flow.dw_at(seed) - tstar * speeds_d1_at(sys, seed[None, :])[0].T
-    dr_dx = np.linalg.solve(jac, np.ones(sys.N))
-    dr_dt = np.linalg.solve(jac, v)
+    try:
+        dr_dx = np.linalg.solve(jac, np.ones(sys.N))
+        dr_dt = np.linalg.solve(jac, v)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"cannot size a solve window at seed {where}: the "
+                         f"Jacobian dw - t*dv is singular there (t* = "
+                         f"{float(tstar):.6g}); give x_window/t_window in the "
+                         "hodograph section") from None
     half = 0.5 * (np.asarray(sys.box.hi) - np.asarray(sys.box.lo))
     dx = float(np.min(0.3 * half / np.abs(dr_dx)))
     dt = float(np.min(0.3 * half / np.abs(dr_dt)))
@@ -440,11 +526,16 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
                     newton_tol: float = NEWTON_TOL) -> HodographSolution:
     """Solve w^nu(R) = t v^nu(R) + x on a spacetime grid by damped Newton.
 
-    Marches in x along the first time row and upward in t afterwards, warm
-    starting every point from its already-solved neighbor, with at most
-    ``NEWTON_MAX_ITER`` iterations per point.  R must stay in the box of a
-    sampled flow, else in the system's box.  Diverged points are flagged,
-    not fatal: characteristics may focus inside the window.
+    Each point runs its own damped Newton, with at most ``NEWTON_MAX_ITER``
+    iterations.  Rows are solved as batches: in row k > 0 the points whose
+    row k-1 neighbour converged start from it and are solved together.
+    The first row, and every point left over, is marched in x, warm
+    started from the last converged point in raster order: its left
+    neighbour when that converged, the seed before any did.  R must stay in
+    the box of a sampled flow, else in the system's box.  Diverged points
+    are flagged, not fatal: characteristics may focus inside the window,
+    and a point whose Newton trials leave the expressions' domain
+    (`DomainError`) is flagged the same way.
 
     Raises
     ------
@@ -462,12 +553,6 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
         raise SeedOutOfBoxError(f"seed {seed} outside coordinate box "
                                 f"{box.lo}..{box.hi}")
 
-    def v_at(r):
-        return speeds_at(sys, r[None, :])[0]
-
-    def dv_at(r):
-        return speeds_d1_at(sys, r[None, :])[0].T
-
     xs = np.linspace(x_window[0], x_window[1], nx)
     ts = np.linspace(t_window[0], t_window[1], nt)
     shape = (nt, nx)
@@ -476,20 +561,19 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
     conv = np.zeros(shape, dtype=bool)
     last_good = np.array(seed, dtype=float)
     for k, t in enumerate(ts):
-        for i, x in enumerate(xs):
-            if k > 0 and conv[k - 1, i]:
-                start = rr[k - 1, i]
-            elif i > 0 and conv[k, i - 1]:
-                start = rr[k, i - 1]
-            else:
-                start = last_good
-            r, fnorm, ok = _newton_point(x, t, start, flow, v_at, dv_at, box,
-                                         newton_tol)
-            rr[k, i] = r
-            res[k, i] = fnorm
-            conv[k, i] = ok
-            if ok:
-                last_good = r
+        done = conv[k - 1] if k > 0 else np.zeros(nx, dtype=bool)
+        idx = np.flatnonzero(done)
+        if idx.size:
+            rr[k, idx], res[k, idx], conv[k, idx] = _newton_batch(
+                xs[idx], t, rr[k - 1, idx], sys, flow, box, newton_tol)
+        # last_good is the left neighbour whenever that one converged
+        for i in range(nx):
+            if not done[i]:
+                one = slice(i, i + 1)
+                rr[k, one], res[k, one], conv[k, one] = _newton_batch(
+                    xs[one], t, last_good[None, :], sys, flow, box, newton_tol)
+            if conv[k, i]:
+                last_good = rr[k, i]
     return HodographSolution(sys.name, xs, ts, rr, res, conv, newton_tol)
 
 

@@ -46,8 +46,13 @@ class Box:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
 
     def contains(self, point, pad=0.0):
-        return all(l - pad <= p <= h + pad
-                   for p, l, h in zip(point, self.lo, self.hi))
+        """Whether ``point`` lies in the box widened by ``pad``.
+
+        A batch of points ``(..., dim)`` gives one flag per point.
+        """
+        p = np.asarray(point, dtype=float)
+        return np.all((np.asarray(self.lo) - pad <= p)
+                      & (p <= np.asarray(self.hi) + pad), axis=-1)
 
 
 def halton_points(count, dim):
