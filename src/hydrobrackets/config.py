@@ -4,14 +4,17 @@ A config file declares one system (coordinates, structure matrices, box)
 plus optional tolerance overrides and a hodograph section with boundary
 data and solve windows.  Every document is validated against
 ``CONFIG_SCHEMA`` before any expression is parsed, so malformed files fail
-with a JSON path instead of a stack trace.
+with a JSON path instead of a stack trace.  The schema uses only a few
+keywords of JSON Schema (draft 2020-12), and `_schema_errors` walks it
+directly; the test suite checks the walk against the ``jsonschema``
+package.
 """
 
 from __future__ import annotations
 
 import json
-
-import jsonschema
+import numbers
+import re
 
 from .errors import ConfigError, ExprSyntaxError, UnknownSymbolError
 from .system import Box, SystemDef
@@ -113,12 +116,92 @@ class LoadedConfig:
         self.raw = raw
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _json_path(path):
+    out = "$"
+    for key in path:
+        if isinstance(key, int):
+            out += f"[{key}]"
+        elif _PLAIN_KEY.match(key):
+            out += "." + key
+        else:
+            out += "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
+
+    Covers the keywords ``CONFIG_SCHEMA`` uses, with JSON Schema's meaning:
+    bool is neither number nor integer, and 2.0 is an integer.
+    """
+    kinds = schema.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(_TYPES[k](value) for k in kinds):
+        yield path, f"{value!r} is not of type {', '.join(map(repr, kinds))}"
+    if "enum" in schema and (isinstance(value, bool) or value not in schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        yield path, f"{value!r} {_too_short(schema['minLength'])}"
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, (f"{value!r} is less than or equal to the minimum of "
+                         f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} {_too_short(schema['minItems'])}"
+        if len(value) > schema.get("maxItems", len(value)):
+            yield path, f"{value!r} is too long"
+        for i, item in enumerate(value):
+            yield from _schema_errors(item, schema.get("items", {}), path + (i,))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", {})
+        unexpected = [key for key in value if key not in props]
+        if extra is False and unexpected:
+            verb = "was" if len(unexpected) == 1 else "were"
+            yield path, ("Additional properties are not allowed "
+                         f"({', '.join(map(repr, unexpected))} {verb} unexpected)")
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is not False:
+                yield from _schema_errors(item, sub, path + (key,))
+
+
+def _too_short(limit):
+    return "should be non-empty" if limit == 1 else "is too short"
+
+
+def validate(doc):
+    """Raise `ConfigError` naming the JSON path of a schema violation.
+
+    Of several violations, the shallowest is reported, the way
+    ``jsonschema.validate`` picks its best match.
+    """
+    found = list(_schema_errors(doc, CONFIG_SCHEMA))
+    if found:
+        path, message = max(found, key=lambda e: (-len(e[0]), e[0]))
+        raise ConfigError(f"config invalid at {_json_path(path)}: {message}")
+
+
 def parse_document(doc: dict) -> LoadedConfig:
     """Validate a decoded JSON document and build its system."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"config invalid at {err.json_path}: {err.message}") from err
+    validate(doc)
 
     if "N" in doc and doc["N"] != len(doc["coords"]):
         raise ConfigError(

@@ -539,7 +539,9 @@ def evaluate_table(exprs, names, params, pts) -> np.ndarray:
     other free symbols; the result has shape ``pts.shape[:-1] + exprs.shape``.
     An expression object held by several entries is evaluated once, constant
     entries are broadcast over the batch, and `DomainError` propagates as
-    from `evaluate`.
+    from `evaluate`.  Overflow and invalid operations give inf and nan
+    without numpy warnings: the checks that read the values report them as
+    non-finite residuals with a witness.
     """
     pts = np.asarray(pts, dtype=float)
     env = dict(params)
@@ -547,9 +549,10 @@ def evaluate_table(exprs, names, params, pts) -> np.ndarray:
     batch = pts.shape[:-1]
     out = np.empty(batch + (exprs.size,))
     first = {}
-    for k, e in enumerate(exprs.flat):
-        seen = first.setdefault(id(e), k)
-        out[..., k] = out[..., seen] if seen != k else evaluate(e, env)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, e in enumerate(exprs.flat):
+            seen = first.setdefault(id(e), k)
+            out[..., k] = out[..., seen] if seen != k else evaluate(e, env)
     return out.reshape(batch + exprs.shape)
 
 

@@ -22,7 +22,7 @@ derivative (so the curvature) is asked for, then assembles the connection
 and its derivative.  `christoffel_at`, `christoffel_d1_at`,
 `levi_civita_at`, `riemann_at` and `riemann_raised_at` are views of that
 pass; `christoffel_at` stays first order, as the flat-coordinate
-Runge-Kutta loop calls it once per stage.  Products are contracted pairwise
+transport evaluates it at every Runge-Kutta stage position.  Products are contracted pairwise
 with ``matmul`` (never an einsum of three or more operands), so the
 curvature costs O(P N^5) arithmetic, and 5-index temporaries are dropped
 as soon as they are used.

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import (
-    MissingAffinorsError, MissingGammaError, NotFlatError, SingularMetricError,
+    DomainError, MissingAffinorsError, MissingGammaError, NotFlatError,
+    SingularMetricError,
 )
 from .system import Box, SystemDef, sample_box
 
@@ -34,6 +35,9 @@ TOL_FLAT = 1e-7
 TOL_COMMUTE = 1e-9
 # Runge-Kutta steps of the flat-coordinate transport per axis extent
 RK4_STEPS_PER_EXTENT = 256
+# points per connection evaluation of the flat-coordinate transport; bounds
+# its memory like `fieldbracket.CHUNK_POINTS`
+TRANSPORT_BATCH_POINTS = 2048
 
 VERDICT_DN = "DN_FLAT"
 VERDICT_MF = "MF_CONST_CURV"
@@ -454,37 +458,87 @@ def _frame_at(sys, basepoint):
     return frame, signature
 
 
-def _transport_rhs(sys, pos, axis, p):
-    gam = tz.christoffel_at(sys, pos)
-    dp = np.einsum("Psl,Pas->Pal", gam[:, :, axis, :], p)
-    dn = p[:, :, axis].copy()
-    return dp, dn
+def _segment_stages(start, stop, h_max):
+    """Step and stage coordinates of one Runge-Kutta segment, in march order.
 
-
-def _rk4_advance(sys, pos, axis, p, n, start, stop, h_max):
-    """Advance the frame transport along one axis for a batch of states."""
+    The start, then ``c + h/2`` and ``c + h`` for each step, with ``c``
+    accumulated step by step: ``2 * nsteps + 1`` coordinates.  The ``c + h``
+    of one step is the ``c`` of the next, bit for bit.
+    """
     length = stop - start
     nsteps = max(1, int(math.ceil(abs(length) / h_max)))
     h = length / nsteps
+    coords = [start]
     c = start
     for _ in range(nsteps):
-        pos[:, axis] = c
-        k1p, k1n = _transport_rhs(sys, pos, axis, p)
-        pos[:, axis] = c + 0.5 * h
-        k2p, k2n = _transport_rhs(sys, pos, axis, p + 0.5 * h * k1p)
-        k3p, k3n = _transport_rhs(sys, pos, axis, p + 0.5 * h * k2p)
-        pos[:, axis] = c + h
-        k4p, k4n = _transport_rhs(sys, pos, axis, p + h * k3p)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        n = n + (h / 6.0) * (k1n + 2 * k2n + 2 * k3n + k4n)
+        coords += (c + 0.5 * h, c + h)
         c += h
-    pos[:, axis] = stop
+    return h, coords
+
+
+def _first_stage_error(sys, stages):
+    """The error the stage-by-stage march meets first, or ``None``."""
+    for pts in stages:
+        try:
+            tz.christoffel_at(sys, pts)
+        except (SingularMetricError, DomainError) as err:
+            return err
+    return None
+
+
+def _connection_rows(sys, pos, axis, coords):
+    """Yield ``Gamma^s_{axis l}`` over the states ``pos`` at each axis coordinate.
+
+    One ``(states, N, N)`` view per coordinate, in order.  The connection
+    depends on position only, so it is evaluated ahead of the march, over
+    stage coordinates x states stacked stage-major, at most
+    ``TRANSPORT_BATCH_POINTS`` points per call.
+    """
+    states, nn = pos.shape
+    per_call = max(1, TRANSPORT_BATCH_POINTS // states)
+    for lo in range(0, len(coords), per_call):
+        chunk = coords[lo:lo + per_call]
+        stages = np.repeat(pos[None], len(chunk), axis=0)
+        stages[:, :, axis] = np.asarray(chunk)[:, None]
+        try:
+            gam = tz.christoffel_at(sys, stages.reshape(-1, nn))
+        except (SingularMetricError, DomainError) as err:
+            # a batch reports its first failed check, not its first failing
+            # stage: replay the stages in order for the error the march meets
+            raise (_first_stage_error(sys, stages) or err) from None
+        yield from gam[:, :, axis, :].reshape(len(chunk), states, nn, nn)
+
+
+def _rk4_advance(rows, axis, p, n, h, nsteps):
+    """Advance a batch of frames over one segment of ``nsteps`` steps.
+
+    ``rows`` yields the segment's connection rows in `_segment_stages`
+    order: k1 reads the one at ``c``, k2 and k3 the one at ``c + h/2``, k4
+    the one at ``c + h``.
+    """
+    at_c = next(rows)
+    for _ in range(nsteps):
+        mid, end = next(rows), next(rows)
+        k1p = np.einsum("Psl,Pas->Pal", at_c, p)
+        q2 = p + 0.5 * h * k1p
+        k2p = np.einsum("Psl,Pas->Pal", mid, q2)
+        q3 = p + 0.5 * h * k2p
+        k3p = np.einsum("Psl,Pas->Pal", mid, q3)
+        q4 = p + h * k3p
+        k4p = np.einsum("Psl,Pas->Pal", end, q4)
+        # the chart value moves with the frame's axis column: dn = p[:, :, axis]
+        n = n + (h / 6.0) * (p[:, :, axis] + 2 * q2[:, :, axis]
+                             + 2 * q3[:, :, axis] + q4[:, :, axis])
+        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        at_c = end
     return p, n
 
 
 def _march_axis(sys, pos, p, n, axis, start_value, targets, h_max):
     """Integrate all current states along one axis to every target value.
 
+    Every segment's stage coordinates are listed first, for both directions
+    in march order, so the geometry is evaluated in a few large batches.
     Returns arrays with a new innermost state axis ordered like ``targets``.
     """
     count, nn = p.shape[0], p.shape[1]
@@ -493,14 +547,20 @@ def _march_axis(sys, pos, p, n, axis, start_value, targets, h_max):
     order = np.argsort(targets)
     above = [i for i in order if targets[i] >= start_value]
     below = [i for i in order[::-1] if targets[i] < start_value]
+    plans, coords = [], []
     for direction in (above, below):
-        cur_p, cur_n = p.copy(), n.copy()
-        cur = start_value
-        work_pos = pos.copy()
+        cur, segments = start_value, []
         for idx in direction:
-            cur_p, cur_n = _rk4_advance(sys, work_pos, axis, cur_p, cur_n,
-                                        cur, targets[idx], h_max)
+            h, stages = _segment_stages(cur, targets[idx], h_max)
+            segments.append((idx, h, len(stages) // 2))
+            coords += stages
             cur = targets[idx]
+        plans.append(segments)
+    rows = _connection_rows(sys, pos, axis, coords)
+    for segments in plans:
+        cur_p, cur_n = p, n
+        for idx, h, nsteps in segments:
+            cur_p, cur_n = _rk4_advance(rows, axis, cur_p, cur_n, h, nsteps)
             out_p[:, idx] = cur_p
             out_n[:, idx] = cur_n
     return out_p, out_n
@@ -538,9 +598,23 @@ def develop_flat_coords(sys: SystemDef, *, box: Box | None = None,
     The chart gradient is transported along axis-aligned paths from the
     basepoint with fixed-step classical Runge-Kutta (step at most the axis
     extent / ``RK4_STEPS_PER_EXTENT``, whatever the grid resolution), so
-    results are exactly reproducible.  Integration is run in two different
-    axis orders; if the two disagree beyond ``10 * tol_flat`` the metric is
-    not flat on the box and `NotFlatError` is raised.
+    results are exactly reproducible.
+
+    The connection depends on position only, never on the transported
+    frame, so every stage position of an axis sweep is known before the
+    march starts.  Each sweep lists its stage coordinates (per segment the
+    start, then ``c + h/2`` and ``c + h`` per step) for both directions,
+    evaluates `tensor.christoffel_at` over them x all current states in
+    batches of at most ``TRANSPORT_BATCH_POINTS`` points (but at least one
+    stage coordinate per batch), then runs the Runge-Kutta steps on
+    lookups.  The results are bit for bit those of evaluating the
+    connection stage by stage, and a failing batch is replayed stage by
+    stage, so `SingularMetricError` and `DomainError` name the first
+    failure the march reaches, with its witness.
+
+    Integration is run in two different axis orders; if the two disagree
+    beyond ``10 * tol_flat`` the metric is not flat on the box and
+    `NotFlatError` is raised.
 
     Returns
     -------

@@ -327,3 +327,13 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_and_config_load_leave_jsonschema_unloaded():
+    """Configs are validated by the package's own schema walk."""
+    code = ("import sys, hydrobrackets.cli; from hydrobrackets import library; "
+            "library.load('polar_plane'); print('jsonschema' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

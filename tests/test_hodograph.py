@@ -9,6 +9,8 @@ with a nested finite-difference oracle that never touches the symbolic
 derivative path.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,20 @@ def test_non_finite_residual_fails_with_witness():
     assert rep.witness is not None and rep.witness[0] > 0.887
     assert sys.box.contains(rep.witness)
     assert "FAIL" in str(rep)
+    assert np.isnan(flow.residual)
+
+
+def test_non_finite_residual_raises_no_numpy_warnings():
+    # overflow reaches the verdict as a nan residual with a witness only
+    sys = overflowing_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = hg.semi_hamiltonian_check(sys)
+        flow = hg.closed_form_flow(sys, ["exp(800*a)", "b", "c"])
+    assert not rep.passed
+    assert np.isnan(rep.residual)
+    assert rep.witness is not None and rep.witness[0] > 0.887
+    assert sys.box.contains(rep.witness)
     assert np.isnan(flow.residual)
 
 
