@@ -10,7 +10,6 @@ reports.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -36,45 +35,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    shared = _Parser(add_help=False)
-    shared.add_argument("--tol-zero", type=float, default=None,
-                        help="override the algebraic-residual tolerance")
-    shared.add_argument("--tol-flat", type=float, default=None,
-                        help="override the flat-chart constancy tolerance")
-    shared.add_argument("--grid", type=int, default=None,
-                        help="grid resolution (chart grid, field points, "
-                             "flow-marching cells)")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="base seed for generated functionals")
-    shared.add_argument("--out", default=None,
+    # every command but `examples` reads a config and can write --out
+    common = _Parser(add_help=False)
+    common.add_argument("config", help="config path or built-in name")
+    common.add_argument("--out",
                         help="write the report (JSON) or table (CSV) here")
-    shared.add_argument("--force", action="store_true",
-                        help="solve even if the compatibility check fails")
-
     parser = _Parser(prog="hydrobrackets",
                      description="verify hydrodynamic bracket classes and "
                                  "integrate diagonal systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[shared],
-                       help="classify a bracket candidate", )
-    p.add_argument("config", help="config path or built-in name")
+    # each command declares only the options it reads; a --tol-* option's
+    # dest is the tolerance key it overrides (see `_load`)
+    p = sub.add_parser("check", parents=[common],
+                       help="classify a bracket candidate")
     p.add_argument("--class", dest="bracket_class", default="auto",
                    choices=("dn", "mf", "fer", "liouville", "auto"))
+    p.add_argument("--tol-zero", type=float,
+                   help="override the algebraic-residual tolerance")
 
-    p = sub.add_parser("flat-coords", parents=[shared],
+    p = sub.add_parser("flat-coords", parents=[common],
                        help="develop canonical coordinates of a flat metric")
-    p.add_argument("config", help="config path or built-in name")
+    p.add_argument("--tol-flat", type=float,
+                   help="override the flat-chart constancy tolerance")
+    p.add_argument("--grid", type=int, help="chart grid resolution")
 
-    p = sub.add_parser("hodograph", parents=[shared],
+    p = sub.add_parser("hodograph", parents=[common],
                        help="solve a diagonal system by commuting flows")
-    p.add_argument("config", help="config path or built-in name")
+    p.add_argument("--tol-zero", type=float,
+                   help="override the compatibility-check tolerance")
+    p.add_argument("--grid", type=int,
+                   help="flow-marching cells per axis (boundary flows)")
+    p.add_argument("--force", action="store_true",
+                   help="solve even if the compatibility check fails")
 
-    p = sub.add_parser("jacobi", parents=[shared],
+    p = sub.add_parser("jacobi", parents=[common],
                        help="sweep the bracket axioms over random functionals")
-    p.add_argument("config", help="config path or built-in name")
+    p.add_argument("--tol-zero", dest="tol_jacobi", type=float,
+                   help="override the Jacobi-residual tolerance")
+    p.add_argument("--grid", type=int, help="field gridpoints (default 64)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base seed for generated functionals")
 
-    sub.add_parser("examples", parents=[shared], help="list built-in examples")
+    sub.add_parser("examples", help="list built-in examples")
     return parser
 
 
@@ -89,18 +92,27 @@ def _resolve(ref):
     raise ConfigError(f"config file not found: {ref}")
 
 
+def _load(args):
+    """The config ``args.config`` names, with its ``--tol-*`` overrides."""
+    lc = _resolve(args.config)
+    lc.tolerances.update((key, value) for key, value in vars(args).items()
+                         if key in lc.tolerances and value is not None)
+    return lc
+
+
+def _given(**kwargs):
+    """The keyword arguments set to a value; the callee's defaults fill the
+    rest (an unset or zero ``--grid`` counts as not given)."""
+    return {key: value for key, value in kwargs.items() if value}
+
+
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_check(args):
-    lc = _resolve(args.config)
-    tol = args.tol_zero if args.tol_zero is not None else lc.tolerances["tol_zero"]
+    lc = _load(args)
     run = {
         "dn": verify.check_dn,
         "mf": verify.check_mf,
@@ -108,7 +120,7 @@ def cmd_check(args):
         "liouville": verify.check_liouville,
         "auto": verify.classify,
     }[args.bracket_class]
-    report = run(lc.system, tol_zero=tol)
+    report = run(lc.system, tol_zero=lc.tolerances["tol_zero"])
     print(report)
     if args.out:
         _write_text(args.out, report.to_json())
@@ -116,15 +128,15 @@ def cmd_check(args):
 
 
 def cmd_flat_coords(args):
-    lc = _resolve(args.config)
-    tol = args.tol_flat if args.tol_flat is not None else lc.tolerances["tol_flat"]
+    lc = _load(args)
     try:
-        chart = verify.develop_flat_coords(lc.system, resolution=args.grid or 64,
-                                           tol_flat=tol)
+        chart = verify.develop_flat_coords(
+            lc.system, tol_flat=lc.tolerances["tol_flat"],
+            **_given(resolution=args.grid))
     except NotFlatError as err:
         print(f"not flat: {err}", file=sys.stderr)
         return FAIL
-    print(_dump(chart.summary_dict()), end="")
+    print(verify.json_text(chart.summary_dict()), end="")
     if args.out:
         n = lc.system.N
         grids = np.meshgrid(*chart.axes, indexing="ij")
@@ -138,10 +150,9 @@ def cmd_flat_coords(args):
 
 
 def cmd_hodograph(args):
-    lc = _resolve(args.config)
+    lc = _load(args)
     sys_, tol = lc.system, lc.tolerances
-    tol_zero = args.tol_zero if args.tol_zero is not None else tol["tol_zero"]
-    report = hg.semi_hamiltonian_check(sys_, tol_zero=tol_zero,
+    report = hg.semi_hamiltonian_check(sys_, tol_zero=tol["tol_zero"],
                                        gap_tol=tol["gap_tol"])
     print(report)
     if not report.passed and not args.force:
@@ -153,11 +164,11 @@ def cmd_hodograph(args):
     if "w" in section:
         flow = hg.closed_form_flow(sys_, section["w"], gap_tol=tol["gap_tol"])
     elif "boundary" in section:
-        resolution = args.grid or section.get("resolution", 256)
         flow = hg.integrate_commuting_flow(
             sys_, section["boundary"][0], section["boundary"][1],
-            resolution=resolution, basepoint=section.get("basepoint"),
-            tol_goursat=tol["tol_goursat"], gap_tol=tol["gap_tol"])
+            basepoint=section.get("basepoint"), tol_goursat=tol["tol_goursat"],
+            gap_tol=tol["gap_tol"],
+            **_given(resolution=args.grid or section.get("resolution")))
     else:
         raise ConfigError("config declares no commuting flow: the hodograph "
                           "section needs either 'w' or 'boundary'")
@@ -171,8 +182,8 @@ def cmd_hodograph(args):
     else:
         x_window, t_window = hg.spacetime_window(sys_, flow, seed)
     sol = hg.hodograph_solve(sys_, flow, x_window=x_window, t_window=t_window,
-                             nx=section.get("nx", 256), nt=section.get("nt", 33),
-                             seed=seed, newton_tol=tol["newton_tol"])
+                             seed=seed, newton_tol=tol["newton_tol"],
+                             **_given(nx=section.get("nx"), nt=section.get("nt")))
     audit = hg.verify_solution(sol, sys_)
     print(f"solved {sol.n_converged}/{sol.converged.size} spacetime points "
           f"on x={x_window[0]:.6g}..{x_window[1]:.6g} "
@@ -204,11 +215,11 @@ def _sample_field(sys, m, seed):
 
 
 def cmd_jacobi(args):
-    lc = _resolve(args.config)
+    lc = _load(args)
     sys_ = lc.system
     m = args.grid or 64
-    base = args.seed if args.seed is not None else 0
-    tol = args.tol_zero if args.tol_zero is not None else lc.tolerances["tol_jacobi"]
+    base = args.seed
+    tol = lc.tolerances["tol_jacobi"]
     field = _sample_field(sys_, m, base)
     residuals = []
     floored = 0
@@ -230,7 +241,7 @@ def cmd_jacobi(args):
           f"(tol {tol:.1e}) over {len(residuals)} seeded triples at M={m}; "
           f"worst triple seeds {base + 3 * worst}..{base + 3 * worst + 2}{note}")
     if args.out:
-        _write_text(args.out, _dump({
+        _write_text(args.out, verify.json_text({
             "system": sys_.name,
             "m": m,
             "seed": base,

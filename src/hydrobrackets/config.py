@@ -16,6 +16,7 @@ import json
 import numbers
 import re
 
+from . import hodograph, verify
 from .errors import ConfigError, ExprSyntaxError, UnknownSymbolError
 from .system import Box, SystemDef
 
@@ -68,7 +69,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tol_zero": _POSITIVE,
                 "tol_flat": _POSITIVE,
-                "tol_gap": _POSITIVE,
                 "tol_goursat": _POSITIVE,
                 "tol_jacobi": _POSITIVE,
                 "gap_tol": _POSITIVE,
@@ -94,14 +94,14 @@ CONFIG_SCHEMA = {
     },
 }
 
+# the library's own defaults; only tol_jacobi, read by the CLI alone, is set here
 DEFAULT_TOLERANCES = {
-    "tol_zero": 1e-9,
-    "tol_flat": 1e-7,
-    "tol_gap": 1e-8,
-    "tol_goursat": 1e-5,
+    "tol_zero": verify.TOL_ZERO,
+    "tol_flat": verify.TOL_FLAT,
+    "tol_goursat": hodograph.TOL_GOURSAT,
     "tol_jacobi": 1e-6,
-    "gap_tol": 1e-8,
-    "newton_tol": 1e-12,
+    "gap_tol": hodograph.GAP_TOL,
+    "newton_tol": hodograph.NEWTON_TOL,
 }
 
 

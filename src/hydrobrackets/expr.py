@@ -29,8 +29,8 @@ from .errors import DomainError, ExprSyntaxError, UnknownSymbolError
 
 __all__ = [
     "Expr", "Number", "Name", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "Call", "FUNCTIONS", "parse", "differentiate", "evaluate", "evaluate_table",
-    "to_source", "free_names",
+    "Call", "FUNCTIONS", "parse", "as_expr", "differentiate", "evaluate",
+    "evaluate_table", "to_source", "free_names",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
@@ -349,6 +349,25 @@ def parse(source: str, symbols) -> Expr:
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {value!r}", pos)
     return node
+
+
+def as_expr(entry, symbols, what) -> Expr:
+    """The expression an entry declares: an `Expr`, source text or a number.
+
+    A real number ``x`` is parsed as ``repr(float(x))``, so ``1.5`` and
+    ``"1.5"`` give the same tree.  An `Expr` naming anything outside
+    ``symbols`` raises ``ValueError`` naming ``what``.
+    """
+    if isinstance(entry, str):
+        return parse(entry, symbols)
+    if isinstance(entry, numbers.Real):
+        return parse(repr(float(entry)), symbols)
+    if not isinstance(entry, Expr):
+        raise TypeError(f"cannot use {entry!r} as {what}")
+    bad = free_names(entry) - frozenset(symbols)
+    if bad:
+        raise ValueError(f"{what} references undeclared names {sorted(bad)}")
+    return entry
 
 
 # --- differentiation -------------------------------------------------------

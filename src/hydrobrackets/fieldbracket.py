@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ShapeMismatchError, StepTooSmallWarning
-from .expr import Expr, differentiate, evaluate_table, free_names, parse
+from .expr import as_expr, differentiate, evaluate_table
 from .system import SystemDef
 
 DEFAULT_H_STEP = 1e-5
@@ -111,12 +111,7 @@ class Functional:
         self.params = dict(params or {})
         self.name = name
         symbols = set(self.coords) | set(self.params)
-        self.density = parse(density, symbols) if isinstance(density, str) else density
-        if not isinstance(self.density, Expr):
-            raise TypeError("density must be an expression or source string")
-        extra = free_names(self.density) - symbols
-        if extra:
-            raise ValueError(f"density references undeclared names {sorted(extra)}")
+        self.density = as_expr(density, symbols, "density")
         self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
         self._density_table = np.array(self.density, dtype=object)
         self._gradient_table = np.array(self.gradient, dtype=object)

@@ -15,7 +15,6 @@ of the two-component pipeline.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,11 +25,10 @@ from .errors import (
     DomainError, HyperbolicityViolationError, NonConvergenceError,
     RegionTooSmallError, SeedOutOfBoxError,
 )
-from .expr import Expr, differentiate, evaluate_table, free_names, parse
+from .expr import as_expr, differentiate, evaluate_table
 from .system import Box, SystemDef, sample_box
-from .verify import _argmax_abs, _worse
+from .verify import TOL_ZERO, JsonReport, _fold_worst, point_list
 
-TOL_ZERO = 1e-9
 TOL_GOURSAT = 1e-5
 GAP_TOL = 1e-8
 NEWTON_TOL = 1e-12
@@ -84,7 +82,7 @@ def _a_table(sys: SystemDef):
 
 
 @dataclass
-class SemiHamiltonianReport:
+class SemiHamiltonianReport(JsonReport):
     """Compatibility-condition residuals of a diagonal system."""
 
     system: str
@@ -101,13 +99,10 @@ class SemiHamiltonianReport:
             "residual": float(self.residual),
             "tol": float(self.tol),
             "pass": bool(self.passed),
-            "witness": None if self.witness is None else [float(v) for v in self.witness],
+            "witness": point_list(self.witness),
             "n_triples": int(self.n_triples),
             "hyperbolicity_gap": float(self.hyperbolicity_gap),
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
@@ -142,10 +137,7 @@ def semi_hamiltonian_check(sys: SystemDef, *, box: Box | None = None,
              for nu in range(n) for mu in range(n) for lam in range(mu + 1, n)
              if len({nu, mu, lam}) == 3]
     vals = _values_at(sys, diffs, pts)
-    worst = (0.0, None)
-    for k in range(len(diffs)):
-        worst = _worse(worst, _argmax_abs(vals[:, k], pts))
-    residual, witness = worst
+    residual, witness = _fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))
     count = len(diffs)
     return SemiHamiltonianReport(sys.name, residual, tol_zero,
                                  residual < tol_zero, witness, count, gap)
@@ -228,15 +220,9 @@ def closed_form_flow(sys: SystemDef, exprs, *, box: Box | None = None,
     """Wrap closed-form w components and measure their defining residual."""
     _require_diagonal(sys)
     symbols = set(sys.coords) | set(sys.params)
-    parsed = tuple(parse(e, symbols) if isinstance(e, str) else e for e in exprs)
+    parsed = tuple(as_expr(e, symbols, "flow") for e in exprs)
     if len(parsed) != sys.N:
         raise ValueError(f"need {sys.N} flow components, got {len(parsed)}")
-    for e in parsed:
-        if not isinstance(e, Expr):
-            raise TypeError("flow components must be expressions or source strings")
-        extra = free_names(e) - symbols
-        if extra:
-            raise ValueError(f"flow references undeclared names {sorted(extra)}")
     pts = sample_box(box or sys.box, samples)
     _check_hyperbolicity(sys, pts, gap_tol)
     a = _a_table(sys)
@@ -244,10 +230,7 @@ def closed_form_flow(sys: SystemDef, exprs, *, box: Box | None = None,
              - a[nu, mu] * (parsed[mu] - parsed[nu])
              for nu in range(sys.N) for mu in range(sys.N) if mu != nu]
     vals = _values_at(sys, diffs, pts)
-    worst = (0.0, None)
-    for k in range(len(diffs)):
-        worst = _worse(worst, _argmax_abs(vals[:, k], pts))
-    residual = worst[0]
+    residual = _fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))[0]
     return CommutingFlow(sys.coords, exprs=parsed, params=sys.params,
                          residual=residual, provenance="user-supplied")
 
@@ -318,8 +301,8 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
     a12, a21 = _values_at(sys, (a[0, 1], a[1, 0]), flat).T.reshape(2, n1, n2)
 
     symbols = set(sys.coords) | set(sys.params)
-    w1e = parse(w1, symbols) if isinstance(w1, str) else w1
-    w2e = parse(w2, symbols) if isinstance(w2, str) else w2
+    w1e = as_expr(w1, symbols, "boundary")
+    w2e = as_expr(w2, symbols, "boundary")
     w = np.empty((2, n1, n2))
     w.fill(np.nan)
     # boundary data on the axis lines R^2 = r2[j0] and R^1 = r1[i0]

@@ -5,8 +5,8 @@ optional contravariant metric, optional lower-order bracket coefficients,
 an optional coefficient operator (full matrix or diagonal), declared
 affinors, an optional ultralocal term, and an optional Liouville-form
 potential.  Entries are expression trees over the coordinates and named
-parameters; strings are parsed on construction.  Instances are treated as
-immutable after construction.
+parameters; strings and numbers are parsed on construction (`expr.as_expr`).
+Instances are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, free_names, parse
+from .expr import Number, as_expr
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -92,16 +92,6 @@ def sample_box(box: Box, count: int = 64, extra=()):
     return pts
 
 
-def _parse_entry(entry, symbols):
-    if isinstance(entry, Expr):
-        return entry
-    if isinstance(entry, str):
-        return parse(entry, symbols)
-    if isinstance(entry, (int, float)):
-        return parse(repr(float(entry)), symbols)
-    raise TypeError(f"cannot use {entry!r} as a system entry")
-
-
 def _parse_matrix(rows, symbols, shape, what):
     arr = np.empty(shape, dtype=object)
     nested = rows
@@ -110,7 +100,7 @@ def _parse_matrix(rows, symbols, shape, what):
             e = nested
             for k in idx:
                 e = e[k]
-            arr[idx] = _parse_entry(e, symbols)
+            arr[idx] = as_expr(e, symbols, what)
     except (IndexError, KeyError, TypeError) as err:
         raise ValueError(f"{what} must be a nested list of shape {shape}") from err
     return arr
@@ -169,7 +159,7 @@ class SystemDef:
         self.b = None if b is None else _parse_matrix(b, symbols, (n, n, n), "b")
         self.V = None if V is None else _parse_matrix(V, symbols, (n, n), "V")
         self.v_diag = None if v_diag is None else np.array(
-            [_parse_entry(e, symbols) for e in v_diag], dtype=object)
+            [as_expr(e, symbols, "v_diag") for e in v_diag], dtype=object)
         if self.v_diag is not None and len(self.v_diag) != n:
             raise ValueError(f"v_diag must have {n} entries")
         self.h_ultra = None if h_ultra is None else _parse_matrix(
@@ -198,22 +188,6 @@ class SystemDef:
         self.box = box
         self.name = name
 
-        allowed = frozenset(symbols)
-        for label, group in (("g_upper", self.g_upper), ("b", self.b),
-                             ("V", self.V), ("v_diag", self.v_diag),
-                             ("h_ultra", self.h_ultra), ("gamma", self.gamma)):
-            if group is None:
-                continue
-            for e in group.flat:
-                bad = free_names(e) - allowed
-                if bad:
-                    raise ValueError(f"{label} references undeclared names {sorted(bad)}")
-        for _, w in (self.affinors or ()):
-            for e in w.flat:
-                bad = free_names(e) - allowed
-                if bad:
-                    raise ValueError(f"affinor references undeclared names {sorted(bad)}")
-
         self._memo = {}
 
     def operator_matrix(self):
@@ -221,8 +195,7 @@ class SystemDef:
         if self.V is not None:
             return self.V
         if self.v_diag is not None:
-            zero = parse("0", ())
-            arr = np.full((self.N, self.N), zero, dtype=object)
+            arr = np.full((self.N, self.N), Number(0.0), dtype=object)
             for i in range(self.N):
                 arr[i, i] = self.v_diag[i]
             return arr

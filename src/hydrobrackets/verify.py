@@ -15,6 +15,8 @@ count give byte-identical JSON.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,6 +49,23 @@ VERDICT_FAIL = "NOT_A_BRACKET"
 VERDICT_UNKNOWN = "INDETERMINATE"
 
 
+def json_text(data) -> str:
+    """JSON of every report and ``--out`` file: sorted keys, indent 2."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def point_list(point):
+    """A witness or other point as a JSON list of floats; None stays None."""
+    return None if point is None else [float(v) for v in point]
+
+
+class JsonReport:
+    """Base of the reports: `to_json` is `json_text` of ``to_dict()``."""
+
+    def to_json(self):
+        return json_text(self.to_dict())
+
+
 @dataclass
 class CheckResult:
     """Outcome of a single residual sweep."""
@@ -63,12 +82,12 @@ class CheckResult:
             "residual": float(self.residual),
             "tol": float(self.tol),
             "pass": bool(self.passed),
-            "witness": None if self.witness is None else [float(v) for v in self.witness],
+            "witness": point_list(self.witness),
         }
 
 
 @dataclass
-class VerifyReport:
+class VerifyReport(JsonReport):
     """Collected check results and the resulting verdict."""
 
     system: str
@@ -92,9 +111,6 @@ class VerifyReport:
         if self.cross_flag is not None:
             out["cross_flag"] = self.cross_flag
         return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def __str__(self):
         head = self.verdict
@@ -130,6 +146,13 @@ def _worse(current, candidate):
     return current
 
 
+def _fold_worst(tensors, pts, *start):
+    """`_worse` folded over each batched tensor's `_argmax_abs`, from
+    ``start`` if one is given, else from the first tensor's pair."""
+    return functools.reduce(_worse, (_argmax_abs(v, pts) for v in tensors),
+                            *start)
+
+
 def _check(name, values, pts, tol):
     residual, witness = _argmax_abs(values, pts)
     return CheckResult(name, residual, tol, residual < tol, witness)
@@ -137,11 +160,7 @@ def _check(name, values, pts, tol):
 
 def _worst_check(name, tensors, pts, tol):
     """One check over several batched tensors, judged by the worst of them."""
-    worst = None
-    for values in tensors:
-        cand = _argmax_abs(values, pts)
-        worst = cand if worst is None else _worse(worst, cand)
-    residual, witness = worst
+    residual, witness = _fold_worst(tensors, pts)
     return CheckResult(name, residual, tol, residual < tol, witness)
 
 
@@ -222,12 +241,9 @@ def _fer(sys, pts, base, curv, tol):
     if affs:
         # a single-member family commutes vacuously but is still reported,
         # so every declared family shows all four condition groups
-        com_res, com_wit = 0.0, None
-        for i in range(len(affs)):
-            for j in range(i + 1, len(affs)):
-                wi, wj = affs[i][1], affs[j][1]
-                com = wi @ wj - wj @ wi
-                com_res, com_wit = _worse((com_res, com_wit), _argmax_abs(com, pts))
+        coms = (wi @ wj - wj @ wi for (_, wi, _), (_, wj, _)
+                in itertools.combinations(affs, 2))
+        com_res, com_wit = _fold_worst(coms, pts, (0.0, None))
         checks.append(CheckResult("affinor-commutativity", com_res,
                                   TOL_COMMUTE, com_res < TOL_COMMUTE, com_wit))
 
@@ -329,17 +345,18 @@ def classify(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
     guessed here.  The sample, the shared checks and the curvature are
     computed once and judged by every class tried.
     """
-    pts = sample_box(box or sys.box, samples, extra_points)
-    base = _base_checks(sys, pts, tol_zero)
-    curv = tz.riemann_raised_at(sys, pts)
-    dn = _dn(sys, pts, base, curv, tol_zero)
+    return _run(_classify, sys, box, samples, extra_points, tol_zero)
+
+
+def _classify(sys, pts, base, curv, tol):
+    dn = _dn(sys, pts, base, curv, tol)
     if dn.verdict == VERDICT_DN:
         return dn
-    mf = _mf(sys, pts, base, curv, tol_zero)
+    mf = _mf(sys, pts, base, curv, tol)
     if mf.verdict == VERDICT_MF:
         return mf
     if sys.affinors is not None:
-        return _fer(sys, pts, base, curv, tol_zero)
+        return _fer(sys, pts, base, curv, tol)
     return VerifyReport(sys.name, VERDICT_UNKNOWN, mf.checks,
                         curvature_constant=mf.curvature_constant)
 
@@ -347,7 +364,7 @@ def classify(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
 # --- metric pencils -------------------------------------------------------------
 
 @dataclass
-class PencilReport:
+class PencilReport(JsonReport):
     """Pencil roots of a metric pair over the sample sweep."""
 
     system_pair: tuple
@@ -365,11 +382,8 @@ class PencilReport:
             "min_gap": float(self.min_gap),
             "tol_gap": float(self.tol_gap),
             "regular": bool(self.regular),
-            "witness": None if self.witness is None else [float(v) for v in self.witness],
+            "witness": point_list(self.witness),
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def pencil_regularity(sys1: SystemDef, sys2: SystemDef, *,
@@ -431,7 +445,7 @@ class FlatChart:
 
     def summary_dict(self):
         return {
-            "basepoint": [float(v) for v in self.basepoint],
+            "basepoint": point_list(self.basepoint),
             "frame": [[float(v) for v in row] for row in self.frame],
             "signature": [int(s) for s in self.signature],
             "pushed_metric_residual": float(self.pushed_metric_residual),

@@ -4,6 +4,9 @@ Commands run in-process through main(argv) so exit codes and output are
 asserted directly; one subprocess test covers the installed entry point.
 """
 
+import argparse
+import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from hydrobrackets import cli, library, verify
 from hydrobrackets import config as cfgmod
-from hydrobrackets import library
+from hydrobrackets import hodograph as hg
 from hydrobrackets.cli import main
 from hydrobrackets.errors import ConfigError
 
@@ -133,6 +137,90 @@ def test_undeclared_name_rejected(tmp_path):
         cfgmod.load_config(write_config(tmp_path, doc))
 
 
+def test_tol_gap_key_is_rejected(tmp_path):
+    doc = gaussian_warp_doc()
+    doc["tolerances"] = {"tol_gap": 1e-8}
+    with pytest.raises(ConfigError) as err:
+        cfgmod.load_config(write_config(tmp_path, doc))
+    assert "config invalid at $.tolerances" in str(err.value)
+
+
+def test_default_tolerances_are_the_library_defaults():
+    readers = {
+        "tol_zero": [(f, "tol_zero") for f in (
+            verify.check_dn, verify.check_mf, verify.check_ferapontov,
+            verify.check_liouville, verify.classify, hg.semi_hamiltonian_check)],
+        "tol_flat": [(verify.develop_flat_coords, "tol_flat")],
+        "tol_goursat": [(hg.integrate_commuting_flow, "tol_goursat")],
+        "gap_tol": [(f, "gap_tol") for f in (
+            hg.semi_hamiltonian_check, hg.closed_form_flow,
+            hg.integrate_commuting_flow)],
+        "newton_tol": [(hg.hodograph_solve, "newton_tol")],
+    }
+    # tol_jacobi has no library reader: only the jacobi command judges by it
+    assert set(cfgmod.DEFAULT_TOLERANCES) == set(readers) | {"tol_jacobi"}
+    for key, params in readers.items():
+        for fn, name in params:
+            default = inspect.signature(fn).parameters[name].default
+            assert default == cfgmod.DEFAULT_TOLERANCES[key], (key, fn.__name__)
+
+
+# --- CLI: options ---------------------------------------------------------------
+
+COMMAND_OPTIONS = {
+    "check": {"--class", "--tol-zero", "--out"},
+    "flat-coords": {"--tol-flat", "--grid", "--out"},
+    "hodograph": {"--tol-zero", "--grid", "--force", "--out"},
+    "jacobi": {"--tol-zero", "--grid", "--seed", "--out"},
+    "examples": set(),
+}
+FORMERLY_SHARED = {"--tol-zero": "1e-3", "--tol-flat": "1e-3", "--grid": "8",
+                   "--seed": "3", "--out": "report", "--force": None}
+
+
+def command_options(command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions
+            for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_settable_command_option_pairs():
+    assert sum(len(command_options(c)) for c in COMMAND_OPTIONS) == 14
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_each_command_takes_only_the_options_it_reads(command, capsys):
+    assert command_options(command) == COMMAND_OPTIONS[command]
+    config = [] if command == "examples" else ["canonical"]
+    for option, value in FORMERLY_SHARED.items():
+        if option in COMMAND_OPTIONS[command]:
+            continue
+        argv = [command, *config, option] + ([value] if value else [])
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "unrecognized arguments" in err
+
+
+def test_jacobi_tol_zero_overrides_tol_jacobi(capsys):
+    assert main(["jacobi", "sphere", "--grid", "32", "--tol-zero", "1e3"]) == 0
+    assert "(tol 1.0e+03)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["check", "--class", "mf", "sphere"],
+     "67e754bffbee6ae698a466fd5ef5e8f940a98fc9f7e029c3e5d941bbc1819e7b"),
+    (["jacobi", "polar_plane", "--seed", "0"],
+     "26757c0947a85f4d71d1b43fd8d8045ba7768ceee3d49459395b9e3f3bf5558a"),
+])
+def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # --- CLI: check -----------------------------------------------------------------
 
 def test_examples_subcommand(capsys):
@@ -237,6 +325,24 @@ def test_flat_coords_curved_metric_fails(capsys):
 
 
 # --- CLI: hodograph -------------------------------------------------------------
+
+@pytest.mark.parametrize("name, key, numeric, text", [
+    ("hopf", "w", [1.5], ["1.5"]),
+    ("shallow_water_riemann", "boundary", [0.5, "R2^2/2 - 5"],
+     ["0.5", "R2^2/2 - 5"]),
+])
+def test_hodograph_numeric_entries_run_as_their_source_text(
+        tmp_path, capsys, name, key, numeric, text):
+    doc = json.loads(library.path(name).read_text())
+    seen = []
+    for tag, entries in (("numeric", numeric), ("text", text)):
+        doc["hodograph"][key] = entries
+        out = tmp_path / f"{tag}.csv"
+        assert main(["hodograph", write_config(tmp_path, doc, f"{tag}.json"),
+                     "--out", str(out)]) == 0
+        seen.append((capsys.readouterr().out, out.read_bytes()))
+    assert seen[0] == seen[1]
+
 
 def test_hodograph_scalar_example(tmp_path, capsys):
     out = tmp_path / "solution.csv"

@@ -245,8 +245,8 @@ def test_integrated_flow_boundary_data_match_direct_evaluation():
 
 # --- seam ------------------------------------------------------------------------
 
-def evaluate_callers():
-    """Modules of the package, other than ``expr``, that call ``evaluate``."""
+def expr_callers(function):
+    """Modules of the package, other than ``expr``, that call ``function``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "expr.py":
@@ -256,11 +256,16 @@ def evaluate_callers():
                 continue
             fn = node.func
             name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-            if name == "evaluate":
+            if name == function:
                 found.append(f"{path.name}:{node.lineno}")
     return found
 
 
 def test_only_expr_calls_evaluate():
     assert len(list(SRC.glob("*.py"))) > 5
-    assert evaluate_callers() == []
+    assert expr_callers("evaluate") == []
+
+
+def test_only_expr_calls_parse():
+    """Entries reach expressions through `expr.as_expr` alone."""
+    assert expr_callers("parse") == []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    hopf_system, shallow_water_riemann_system, so3_system,
+    hopf_system, shallow_water_riemann_system, so3_system, sphere_system,
 )
 from hydrobrackets import cli, verify
 from hydrobrackets import hodograph as hg
@@ -41,6 +41,20 @@ def test_singular_metric_error_point_is_plain_floats():
         tz.metric_lower_at(sys, np.array([[0.25, 0.5, -1.0]]))
     assert info.value.point == (0.25, 0.5, -1.0)
     assert all(type(v) is float for v in info.value.point)
+
+
+def test_zero_residual_witness_depends_on_where_the_fold_starts():
+    # a per-affinor check starts from its first tensor's pair, so a zero
+    # residual still names the first sample; the commutativity of a
+    # one-member family starts from (0, None) and names no point
+    sys = sphere_system(with_identity_affinor=True)
+    checks = {c.name: c for c in verify.check_ferapontov(sys).checks}
+    first = tuple(sample_box(sys.box, 64)[0])
+    for name in ("metric-affinor-symmetry", "covariant-derivative-symmetry"):
+        assert (checks[name].residual, checks[name].witness) == (0.0, first)
+    commute = checks["affinor-commutativity"]
+    assert (commute.residual, commute.witness) == (0.0, None)
+    assert json.loads(verify.json_text(commute.to_dict()))["witness"] is None
 
 
 def test_eigenvalue_collision_warning_names_plain_floats():

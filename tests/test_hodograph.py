@@ -230,6 +230,18 @@ def test_closed_form_flow_validation():
         hg.closed_form_flow(sys, ["R1 + q", "R2"])
 
 
+def test_numeric_flow_entries_equal_their_source_text():
+    sys = shallow_water_riemann_system()
+    hopf = hopf_system()
+    num, text = hg.closed_form_flow(hopf, [1.5]), hg.closed_form_flow(hopf, ["1.5"])
+    assert num.exprs == text.exprs
+    assert num.residual == text.residual
+    num = hg.integrate_commuting_flow(sys, 0.5, "R2^2/2 - 5", resolution=32)
+    text = hg.integrate_commuting_flow(sys, "0.5", "R2^2/2 - 5", resolution=32)
+    assert num.values.tobytes() == text.values.tobytes()
+    assert num.residual == text.residual
+
+
 def test_closed_form_evaluation_and_jacobian():
     sys = shallow_water_riemann_system()
     fl = hg.closed_form_flow(sys, ["R1^2", "R1*R2"])
