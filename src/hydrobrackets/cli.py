@@ -27,6 +27,15 @@ from .errors import (
 PASS, FAIL, ERROR = 0, 2, 1
 
 
+def _grid(text):
+    """``--grid`` values: integers of at least 2, the config schema's
+    ``resolution`` minimum."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are exit code 1; 2 is reserved for checked failures
     def error(self, message):
@@ -58,13 +67,13 @@ def _build_parser():
                        help="develop canonical coordinates of a flat metric")
     p.add_argument("--tol-flat", type=float,
                    help="override the flat-chart constancy tolerance")
-    p.add_argument("--grid", type=int, help="chart grid resolution")
+    p.add_argument("--grid", type=_grid, help="chart grid resolution")
 
     p = sub.add_parser("hodograph", parents=[common],
                        help="solve a diagonal system by commuting flows")
     p.add_argument("--tol-zero", type=float,
                    help="override the compatibility-check tolerance")
-    p.add_argument("--grid", type=int,
+    p.add_argument("--grid", type=_grid,
                    help="flow-marching cells per axis (boundary flows)")
     p.add_argument("--force", action="store_true",
                    help="solve even if the compatibility check fails")
@@ -73,7 +82,7 @@ def _build_parser():
                        help="sweep the bracket axioms over random functionals")
     p.add_argument("--tol-zero", dest="tol_jacobi", type=float,
                    help="override the Jacobi-residual tolerance")
-    p.add_argument("--grid", type=int, help="field gridpoints (default 64)")
+    p.add_argument("--grid", type=_grid, help="field gridpoints (default 64)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for generated functionals")
 
@@ -102,8 +111,8 @@ def _load(args):
 
 def _given(**kwargs):
     """The keyword arguments set to a value; the callee's defaults fill the
-    rest (an unset or zero ``--grid`` counts as not given)."""
-    return {key: value for key, value in kwargs.items() if value}
+    rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _write_text(path, text):
@@ -144,8 +153,7 @@ def cmd_flat_coords(args):
         cols += [chart.values[..., k].ravel() for k in range(n)]
         header = ",".join(lc.system.coords) + "," + ",".join(
             f"n{k + 1}" for k in range(n))
-        np.savetxt(args.out, np.column_stack(cols), delimiter=",",
-                   header=header, comments="", fmt="%.17e")
+        verify.write_csv(args.out, header, cols)
     return PASS if chart.passed else FAIL
 
 

@@ -6,17 +6,14 @@ integrals of pointwise densities in the field components, which keeps their
 variational derivatives exact.  On top of the evaluated bracket this module
 provides the two operational bracket axioms as numbers: an antisymmetry
 residual comes out of `bracket` directly, and `jacobi_residual` measures the
-cyclic sum with one finite-difference layer in field space.
+cyclic sum with one directional difference per term.
 
 Cost model: a bracket evaluates each expression table entry once over the
-M gridpoints.  A Jacobi residual needs the brackets of 2*N*M perturbed
-fields per cyclic term, O(N*M^2) points.  They are stacked along the leading
-batch axis of the array core shared by `bracket`, `apply_bracket_operator`
-and `Functional.variational`, and evaluated in chunks of at most
-`CHUNK_POINTS` gridpoints, so each table entry is evaluated once per chunk
-rather than once per field.  At the default M = 64 with N <= 2 that is one
-chunk per term; the cap bounds the temporaries, the largest of which is the
-(CHUNK_POINTS, N, N, N) table of ``b``.
+M gridpoints.  Each cyclic term {{F,G},H} of a Jacobi residual is the
+derivative of {F,G} along the flow A(delta H), so it costs one operator
+application and the brackets of two perturbed fields, stacked along the
+leading batch axis of the array core shared by `bracket`,
+`apply_bracket_operator` and `Functional.variational`: O(M) points per term.
 """
 
 from __future__ import annotations
@@ -32,10 +29,9 @@ from . import tensor as tz
 from .errors import ShapeMismatchError, StepTooSmallWarning
 from .expr import as_expr, differentiate, evaluate_table
 from .system import SystemDef
+from .verify import write_csv
 
 DEFAULT_H_STEP = 1e-5
-# gridpoints per batched table evaluation in the Jacobi layer
-CHUNK_POINTS = 16384
 
 
 def _is_power_of_two(m):
@@ -221,30 +217,15 @@ def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField, *,
                                   pencil_lambda=pencil_lambda)
 
 
-def _inner_bracket_gradient(sys, Fa, Fb, U, h_step, kw):
-    """Variational derivative of {Fa, Fb} by central differences in field space.
-
-    The perturbation of U^n(x_i) is h/dx, so the quotient approximates the
-    functional derivative against the continuum pairing independently of the
-    grid resolution.  The 2*N*M perturbed fields (each U^n(x_i) raised, then
-    each lowered) are stacked and bracketed together through the batched
-    core, at most ``CHUNK_POINTS // M`` fields (and at least one) per chunk,
-    so each chunk costs one evaluation per expression table entry.
-    """
-    n, m = U.values.shape
-    size = n * m
-    amp = h_step / U.dx
-    shifts = np.repeat([amp, -amp], size)
-    entries = np.tile(np.arange(size), 2)
-    per_chunk = max(1, CHUNK_POINTS // m)
-    vals = np.empty(2 * size)
-    for lo in range(0, 2 * size, per_chunk):
-        hi = min(lo + per_chunk, 2 * size)
-        stack = np.repeat(U.values.reshape(1, size), hi - lo, axis=0)
-        stack[np.arange(hi - lo), entries[lo:hi]] += shifts[lo:hi]
-        _require_finite(stack)
-        vals[lo:hi] = _bracket(sys, Fa, Fb, stack.reshape(-1, n, m), U.dx, **kw)
-    return ((vals[:size] - vals[size:]) / (2.0 * h_step)).reshape(n, m)
+def _cyclic_term(sys, Fa, Fb, Fc, U, h_step, kw):
+    """{{Fa, Fb}, Fc} as the central difference of {Fa, Fb} along the flow
+    of Fc, with the roundoff of that quotient."""
+    flow = hamiltonian_flow(sys, Fc, U, **kw).values
+    stack = U.values + np.multiply.outer([h_step, -h_step], flow)
+    _require_finite(stack)
+    up, down = _bracket(sys, Fa, Fb, stack, U.dx, **kw)
+    noise = np.finfo(float).eps / (2.0 * h_step) * max(1.0, abs(up), abs(down))
+    return float((up - down) / (2.0 * h_step)), float(noise)
 
 
 def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
@@ -252,34 +233,29 @@ def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
                     *, part="full", pencil_lambda=None) -> float:
     """|{{F,G},H} + {{G,H},F} + {{H,F},G}| at the given field.
 
-    Inner variational derivatives are finite differences with ``h_step``;
-    everything else is exact on the grid.  Emits `StepTooSmallWarning` when
-    the cyclic sum is at or below the cancellation noise expected from the
-    finite-difference quotients, meaning the returned value is a roundoff
+    Each term {{F,G},H} is the derivative of {F,G} along the flow
+    v = A(delta H), taken as the central difference
+    ({F,G}[U + h v] - {F,G}[U - h v]) / (2 h) with h = ``h_step``, so a
+    residual costs six brackets; everything else is exact on the grid.
+    Emits `StepTooSmallWarning` when the cyclic sum is at or below ten times
+    the roundoff of the three quotients, meaning the returned value is a
     floor rather than a resolved residual.
     """
     if h_step <= 0:
         raise ValueError("h_step must be positive")
     kw = dict(part=part, pencil_lambda=pencil_lambda)
-    funcs = (F, G, H)
-    total = 0.0
-    noise = 0.0
-    eps = float(np.finfo(float).eps)
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        outer = apply_bracket_operator(
-            sys, U, funcs[c].variational(U), **kw).values
-        grad = _inner_bracket_gradient(sys, funcs[a], funcs[b], U, h_step, kw)
-        total += float(np.sum(grad * outer) * U.dx)
-        inner_scale = max(1.0, abs(bracket(sys, funcs[a], funcs[b], U, **kw)))
-        noise += eps / (2.0 * h_step) * inner_scale * float(
-            np.sum(np.abs(outer)) * U.dx)
-    if abs(total) <= 10.0 * noise:
+    terms = [_cyclic_term(sys, F, G, H, U, h_step, kw),
+             _cyclic_term(sys, G, H, F, U, h_step, kw),
+             _cyclic_term(sys, H, F, G, U, h_step, kw)]
+    total = abs(sum(term for term, _ in terms))
+    noise = sum(noise for _, noise in terms)
+    if total <= 10.0 * noise:
         warnings.warn(
-            f"Jacobi cyclic sum {abs(total):.3e} is within the roundoff "
+            f"Jacobi cyclic sum {total:.3e} is within the roundoff "
             f"estimate {10.0 * noise:.3e} for h_step={h_step:g}; the value is "
             "a floor, not a resolved residual",
             StepTooSmallWarning, stacklevel=2)
-    return abs(total)
+    return total
 
 
 # --- grid I/O -------------------------------------------------------------
@@ -287,8 +263,7 @@ def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
 def save_grid_csv(path, U: GridField):
     """Write a field as CSV with columns x, U1..UN."""
     header = "x," + ",".join(f"U{k + 1}" for k in range(U.n_components))
-    data = np.column_stack([U.x] + [U.values[k] for k in range(U.n_components)])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17e")
+    write_csv(path, header, [U.x, *U.values])
 
 
 def load_grid_csv(path) -> GridField:

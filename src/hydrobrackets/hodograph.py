@@ -27,7 +27,7 @@ from .errors import (
 )
 from .expr import as_expr, differentiate, evaluate_table
 from .system import Box, SystemDef, sample_box
-from .verify import TOL_ZERO, JsonReport, _fold_worst, point_list
+from .verify import TOL_ZERO, JsonReport, fold_worst, point_list, write_csv
 
 TOL_GOURSAT = 1e-5
 GAP_TOL = 1e-8
@@ -60,7 +60,7 @@ def _check_hyperbolicity(sys, pts, gap_tol):
     if not gaps[worst] > gap_tol:
         raise HyperbolicityViolationError(
             f"characteristic velocities collide (gap {gaps[worst]:.3e} "
-            f"<= {gap_tol:.1e})", point=tuple(float(v) for v in pts[worst]))
+            f"<= {gap_tol:.1e})", point=tz.point_at(pts, worst))
     return float(gaps[worst])
 
 
@@ -137,7 +137,7 @@ def semi_hamiltonian_check(sys: SystemDef, *, box: Box | None = None,
              for nu in range(n) for mu in range(n) for lam in range(mu + 1, n)
              if len({nu, mu, lam}) == 3]
     vals = _values_at(sys, diffs, pts)
-    residual, witness = _fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))
+    residual, witness = fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))
     count = len(diffs)
     return SemiHamiltonianReport(sys.name, residual, tol_zero,
                                  residual < tol_zero, witness, count, gap)
@@ -230,7 +230,7 @@ def closed_form_flow(sys: SystemDef, exprs, *, box: Box | None = None,
              - a[nu, mu] * (parsed[mu] - parsed[nu])
              for nu in range(sys.N) for mu in range(sys.N) if mu != nu]
     vals = _values_at(sys, diffs, pts)
-    residual = _fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))[0]
+    residual = fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))[0]
     return CommutingFlow(sys.coords, exprs=parsed, params=sys.params,
                          residual=residual, provenance="user-supplied")
 
@@ -621,5 +621,4 @@ def save_solution_csv(path, sol: HodographSolution):
     cols.extend(sol.R[..., k].ravel() for k in range(n))
     cols.append(sol.residual.ravel())
     cols.append(sol.converged.ravel().astype(float))
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="", fmt="%.17e")
+    write_csv(path, header, cols)

@@ -173,22 +173,23 @@ def metric_upper_at(sys: SystemDef, pts):
     return table_at(sys, sys.g_upper, pts)
 
 
-def _witness(pts, bad):
-    """The first flagged point as a tuple of plain floats."""
-    return tuple(float(v) for v in pts[int(np.argmax(bad))])
+def point_at(pts, i):
+    """Point ``i`` of a batch as a tuple of plain floats, as witnesses are
+    reported."""
+    return tuple(float(v) for v in pts[int(i)])
 
 
 def _guarded_inverse(upper, pts):
     dets = np.linalg.det(upper)
     bad = np.abs(dets) < DET_FLOOR
     if np.any(bad):
-        where = _witness(pts, bad)
+        where = point_at(pts, np.argmax(bad))
         raise SingularMetricError(
             f"metric determinant below {DET_FLOOR:g} at {where}", where)
     conds = np.linalg.cond(upper)
     bad = ~(conds < COND_CEILING)
     if np.any(bad):
-        where = _witness(pts, bad)
+        where = point_at(pts, np.argmax(bad))
         raise SingularMetricError(
             f"metric condition number above {COND_CEILING:g} at {where}", where)
     return np.linalg.inv(upper)
@@ -389,7 +390,7 @@ def _warn_on_eigenvalue_collision(v, pts):
     gaps = np.min(pairwise_gaps(eigs), axis=1, initial=np.inf)
     bad = gaps < 1e-8 * scale
     if np.any(bad):
-        where = _witness(pts, bad)
+        where = point_at(pts, np.argmax(bad))
         warnings.warn(
             f"coefficient operator has coinciding eigenvalues near {where}",
             DegenerateHyperbolicityWarning, stacklevel=3)

@@ -38,7 +38,7 @@ TOL_COMMUTE = 1e-9
 # Runge-Kutta steps of the flat-coordinate transport per axis extent
 RK4_STEPS_PER_EXTENT = 256
 # points per connection evaluation of the flat-coordinate transport; bounds
-# its memory like `fieldbracket.CHUNK_POINTS`
+# the (points, N, N, N) connection temporaries
 TRANSPORT_BATCH_POINTS = 2048
 
 VERDICT_DN = "DN_FLAT"
@@ -52,6 +52,13 @@ VERDICT_UNKNOWN = "INDETERMINATE"
 def json_text(data) -> str:
     """JSON of every report and ``--out`` file: sorted keys, indent 2."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def write_csv(path, header, columns):
+    """CSV of every table ``--out`` file: one column per array, full
+    precision."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", fmt="%.17e")
 
 
 def point_list(point):
@@ -131,7 +138,7 @@ def _argmax_abs(values, pts):
     flat = np.abs(values.reshape(len(values), -1))
     per_point = flat.max(axis=1) if flat.shape[1] else np.zeros(len(values))
     idx = int(np.argmax(per_point))
-    return float(per_point[idx]), tuple(float(v) for v in pts[idx])
+    return float(per_point[idx]), tz.point_at(pts, idx)
 
 
 def _worse(current, candidate):
@@ -146,7 +153,7 @@ def _worse(current, candidate):
     return current
 
 
-def _fold_worst(tensors, pts, *start):
+def fold_worst(tensors, pts, *start):
     """`_worse` folded over each batched tensor's `_argmax_abs`, from
     ``start`` if one is given, else from the first tensor's pair."""
     return functools.reduce(_worse, (_argmax_abs(v, pts) for v in tensors),
@@ -160,7 +167,7 @@ def _check(name, values, pts, tol):
 
 def _worst_check(name, tensors, pts, tol):
     """One check over several batched tensors, judged by the worst of them."""
-    residual, witness = _fold_worst(tensors, pts)
+    residual, witness = fold_worst(tensors, pts)
     return CheckResult(name, residual, tol, residual < tol, witness)
 
 
@@ -243,7 +250,7 @@ def _fer(sys, pts, base, curv, tol):
         # so every declared family shows all four condition groups
         coms = (wi @ wj - wj @ wi for (_, wi, _), (_, wj, _)
                 in itertools.combinations(affs, 2))
-        com_res, com_wit = _fold_worst(coms, pts, (0.0, None))
+        com_res, com_wit = fold_worst(coms, pts, (0.0, None))
         checks.append(CheckResult("affinor-commutativity", com_res,
                                   TOL_COMMUTE, com_res < TOL_COMMUTE, com_wit))
 
@@ -411,7 +418,7 @@ def pencil_regularity(sys1: SystemDef, sys2: SystemDef, *,
     per_point = np.min(gaps, axis=1, initial=math.inf)
     worst = int(np.argmin(per_point))
     min_gap = float(per_point[worst])
-    witness = tuple(float(v) for v in pts[worst]) if gaps.size else None
+    witness = tz.point_at(pts, worst) if gaps.size else None
     regular = bool(min_gap > tol_gap)
     return PencilReport((sys1.name, sys2.name), all_roots, min_gap,
                         tol_gap, regular, witness)

@@ -212,13 +212,35 @@ def test_jacobi_tol_zero_overrides_tol_jacobi(capsys):
     (["check", "--class", "mf", "sphere"],
      "67e754bffbee6ae698a466fd5ef5e8f940a98fc9f7e029c3e5d941bbc1819e7b"),
     (["jacobi", "polar_plane", "--seed", "0"],
-     "26757c0947a85f4d71d1b43fd8d8045ba7768ceee3d49459395b9e3f3bf5558a"),
+     "00e16906aa214b43c6eaf712b5ba3a8f605e343a9d14d6a7c240cbd25e48bff6"),
 ])
 def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["flat-coords", "polar_plane", "--grid", "8"],
+     "4bfbabe60a4172db0925760288f2beac51ca7919be33ca7a7d8f78df484beebd"),
+    (["hodograph", "hopf"],
+     "db439666189196289d5556b2290d4e3c7353589e9916bf8b44f56db1f82c553b"),
+])
+def test_out_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["flat-coords", "hodograph", "jacobi"])
+@pytest.mark.parametrize("grid", ["0", "-3", "1"])
+def test_grid_below_two_is_a_usage_error(command, grid, capsys):
+    assert main([command, "canonical", "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument --grid: must be at least 2, got {grid}" in err
 
 
 # --- CLI: check -----------------------------------------------------------------
