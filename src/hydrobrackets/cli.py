@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -33,6 +34,15 @@ def _grid(text):
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+def _tol(text):
+    """``--tol-*`` values: finite numbers above 0, as in a config."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}")
     return value
 
 
@@ -60,18 +70,18 @@ def _build_parser():
                        help="classify a bracket candidate")
     p.add_argument("--class", dest="bracket_class", default="auto",
                    choices=("dn", "mf", "fer", "liouville", "auto"))
-    p.add_argument("--tol-zero", type=float,
+    p.add_argument("--tol-zero", type=_tol,
                    help="override the algebraic-residual tolerance")
 
     p = sub.add_parser("flat-coords", parents=[common],
                        help="develop canonical coordinates of a flat metric")
-    p.add_argument("--tol-flat", type=float,
+    p.add_argument("--tol-flat", type=_tol,
                    help="override the flat-chart constancy tolerance")
     p.add_argument("--grid", type=_grid, help="chart grid resolution")
 
     p = sub.add_parser("hodograph", parents=[common],
                        help="solve a diagonal system by commuting flows")
-    p.add_argument("--tol-zero", type=float,
+    p.add_argument("--tol-zero", type=_tol,
                    help="override the compatibility-check tolerance")
     p.add_argument("--grid", type=_grid,
                    help="flow-marching cells per axis (boundary flows)")
@@ -80,7 +90,7 @@ def _build_parser():
 
     p = sub.add_parser("jacobi", parents=[common],
                        help="sweep the bracket axioms over random functionals")
-    p.add_argument("--tol-zero", dest="tol_jacobi", type=float,
+    p.add_argument("--tol-zero", dest="tol_jacobi", type=_tol,
                    help="override the Jacobi-residual tolerance")
     p.add_argument("--grid", type=_grid, help="field gridpoints (default 64)")
     p.add_argument("--seed", type=int, default=0,
@@ -233,8 +243,7 @@ def cmd_jacobi(args):
     floored = 0
     for k in range(20):
         triple = [fb.random_polynomial_functional(
-            sys_.coords, degree=3, seed=base + 3 * k + j, name=f"F{3 * k + j}")
-            for j in range(3)]
+            sys_.coords, degree=3, seed=base + 3 * k + j) for j in range(3)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             residuals.append(abs(fb.jacobi_residual(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import numbers
 import re
+import sys
 
 from . import hodograph, verify
 from .errors import ConfigError, ExprSyntaxError, UnknownSymbolError
@@ -199,9 +200,26 @@ def validate(doc):
         raise ConfigError(f"config invalid at {_json_path(path)}: {message}")
 
 
+def _non_finite(value, path=()):
+    """Yield ``(path, value)`` for each number in ``value`` that is not a
+    finite float: `json` reads ``NaN``, ``Infinity``, ``1e999`` and integers
+    of any length, and the schema allows them."""
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        yield path, value
+    elif isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _non_finite(item, path + (key,))
+
+
 def parse_document(doc: dict) -> LoadedConfig:
-    """Validate a decoded JSON document and build its system."""
+    """Validate a decoded JSON document, all its numbers finite, and build
+    its system."""
     validate(doc)
+    bad = next(_non_finite(doc), None)
+    if bad is not None:
+        raise ConfigError(f"config invalid at {_json_path(bad[0])}: {bad[1]!r} "
+                          "is not a finite float")
 
     if "N" in doc and doc["N"] != len(doc["coords"]):
         raise ConfigError(

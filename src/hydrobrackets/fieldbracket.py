@@ -102,10 +102,9 @@ class Functional:
     derivative is the exact gradient of the density at each gridpoint.
     """
 
-    def __init__(self, density, coords, params=None, name=""):
+    def __init__(self, density, coords, params=None):
         self.coords = tuple(coords)
         self.params = dict(params or {})
-        self.name = name
         symbols = set(self.coords) | set(self.params)
         self.density = as_expr(density, symbols, "density")
         self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
@@ -129,16 +128,15 @@ class Functional:
         return np.ascontiguousarray(np.swapaxes(grad, -1, -2))
 
 
-def random_polynomial_functional(coords, *, degree=3, seed=0, scale=1.0,
-                                 name="") -> Functional:
+def random_polynomial_functional(coords, *, degree=3, seed=0) -> Functional:
     """Seeded random density with all monomials of degree 1..degree."""
     rng = np.random.default_rng(seed)
     terms = []
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(coords, d):
-            c = rng.normal() * scale / math.factorial(d)
+            c = rng.normal() / math.factorial(d)
             terms.append(f"{c!r}*" + "*".join(combo))
-    return Functional(" + ".join(terms), coords, name=name)
+    return Functional(" + ".join(terms), coords)
 
 
 def _check_shapes(sys, values, xi):
@@ -160,7 +158,8 @@ def apply_bracket_operator(sys: SystemDef, U: GridField, xi, *, part="full",
 
     ``part`` selects "full", the "local" g/b terms only, or the
     "ultralocal" h term only; ``pencil_lambda`` instead evaluates the pencil
-    member local + lambda * ultralocal.
+    member local + lambda * ultralocal.  A system that declares none of
+    the selected part's coefficients is a ``ValueError``.
     """
     xi = xi.values if isinstance(xi, GridField) else np.asarray(xi, dtype=float)
     return GridField(_operator(sys, U.values[None], xi[None], part, pencil_lambda)[0])
@@ -173,21 +172,26 @@ def _operator(sys, values, xi, part, pencil_lambda):
     if pencil_lambda is not None and part != "full":
         raise ValueError("pencil_lambda already selects both parts")
     _check_shapes(sys, values, xi)
-    use_local = part in ("full", "local")
-    use_ultra = part in ("full", "ultralocal")
+    use_local = part in ("full", "local") and sys.g_upper is not None
+    use_ultra = part in ("full", "ultralocal") and sys.h_ultra is not None
+    if not (use_local or use_ultra):
+        need = {"full": "g_upper or h_ultra", "local": "g_upper",
+                "ultralocal": "h_ultra"}[part]
+        raise ValueError(f"system declares no bracket for part {part!r} "
+                         f"(needs {need})")
     ultra_weight = 1.0 if pencil_lambda is None else float(pencil_lambda)
 
     batch, n, m = values.shape
     # (B*M, N) points; each column is a contiguous row of the (N, B*M) copy
     pts = np.moveaxis(values, 1, 0).reshape(n, batch * m).T
     out = np.zeros(values.shape)
-    if use_local and sys.g_upper is not None:
+    if use_local:
         g = tz.metric_upper_at(sys, pts).reshape(batch, m, n, n)
         out += np.einsum("bxnm,bmx->bnx", g, spectral_dx(xi))
         if sys.b is not None:
             b = tz.b_at(sys, pts).reshape(batch, m, n, n, n)
             out += np.einsum("bxnml,blx,bmx->bnx", b, spectral_dx(values), xi)
-    if use_ultra and sys.h_ultra is not None:
+    if use_ultra:
         h = tz.h_ultra_at(sys, pts).reshape(batch, m, n, n)
         out += ultra_weight * np.einsum("bxnm,bmx->bnx", h, xi)
     return out

@@ -27,7 +27,9 @@ from .errors import (
 )
 from .expr import as_expr, differentiate, evaluate_table
 from .system import Box, SystemDef, sample_box
-from .verify import TOL_ZERO, JsonReport, fold_worst, point_list, write_csv
+from .verify import (
+    SAMPLES, TOL_ZERO, JsonReport, fold_worst, point_list, write_csv,
+)
 
 TOL_GOURSAT = 1e-5
 GAP_TOL = 1e-8
@@ -111,9 +113,7 @@ class SemiHamiltonianReport(JsonReport):
                 f"(tol {self.tol:.1e}) over {self.n_triples} triples{note}")
 
 
-def semi_hamiltonian_check(sys: SystemDef, *, box: Box | None = None,
-                           samples: int = 64, extra_points=(),
-                           tol_zero: float = TOL_ZERO,
+def semi_hamiltonian_check(sys: SystemDef, *, tol_zero: float = TOL_ZERO,
                            gap_tol: float = GAP_TOL) -> SemiHamiltonianReport:
     """Check the commuting-flow compatibility conditions of v_diag.
 
@@ -128,7 +128,7 @@ def semi_hamiltonian_check(sys: SystemDef, *, box: Box | None = None,
         If characteristic velocities collide somewhere in the box.
     """
     _require_diagonal(sys)
-    pts = sample_box(box or sys.box, samples, extra_points)
+    pts = sample_box(sys.box, SAMPLES)
     gap = _check_hyperbolicity(sys, pts, gap_tol)
     n = sys.N
     a = _a_table(sys)
@@ -215,15 +215,15 @@ class CommutingFlow:
                          for s in self._splines], axis=-2)
 
 
-def closed_form_flow(sys: SystemDef, exprs, *, box: Box | None = None,
-                     samples: int = 64, gap_tol: float = GAP_TOL) -> CommutingFlow:
+def closed_form_flow(sys: SystemDef, exprs, *,
+                     gap_tol: float = GAP_TOL) -> CommutingFlow:
     """Wrap closed-form w components and measure their defining residual."""
     _require_diagonal(sys)
     symbols = set(sys.coords) | set(sys.params)
     parsed = tuple(as_expr(e, symbols, "flow") for e in exprs)
     if len(parsed) != sys.N:
         raise ValueError(f"need {sys.N} flow components, got {len(parsed)}")
-    pts = sample_box(box or sys.box, samples)
+    pts = sample_box(sys.box, SAMPLES)
     _check_hyperbolicity(sys, pts, gap_tol)
     a = _a_table(sys)
     diffs = [differentiate(parsed[nu], sys.coords[mu])
@@ -257,9 +257,8 @@ def _march_boundary(wline, other, a_line, coord, start, direction):
                     + alpha_cur * other[i]) / denom
 
 
-def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
-                             resolution: int = 256, basepoint=None,
-                             tol_goursat: float = TOL_GOURSAT,
+def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
+                             basepoint=None, tol_goursat: float = TOL_GOURSAT,
                              gap_tol: float = GAP_TOL) -> CommutingFlow:
     """Integrate a two-component commuting flow from axis boundary data.
 
@@ -267,10 +266,10 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
     prescribes w^2 on the line R^1 = basepoint[0]; both are expressions in
     the coordinates.  The coupled equations d_2 w^1 = a_{12}(w^2 - w^1),
     d_1 w^2 = a_{21}(w^1 - w^2) are marched with the implicit trapezoidal
-    rule (one 2x2 linear solve per cell), outward from the basepoint, which
-    must lie on the grid (default: the box corner).  A cell needs only its
-    two inner neighbours, so each quadrant is swept by anti-diagonals, one
-    vectorised step per diagonal.
+    rule (one 2x2 linear solve per cell) on a grid of the system's box,
+    outward from the basepoint, which must lie on the grid (default: the
+    box corner).  A cell needs only its two inner neighbours, so each
+    quadrant is swept by anti-diagonals, one vectorised step per diagonal.
 
     The returned flow carries the defining-relation residual measured by
     interior central differences; second-order convergence in the grid step
@@ -283,7 +282,7 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, box: Box | None = None,
     _require_diagonal(sys)
     if sys.N != 2:
         raise ValueError("flow integration is implemented for two components")
-    box = box or sys.box
+    box = sys.box
     r1 = np.linspace(box.lo[0], box.hi[0], resolution + 1)
     r2 = np.linspace(box.lo[1], box.hi[1], resolution + 1)
     if basepoint is None:

@@ -11,6 +11,7 @@ Instances are treated as immutable after construction.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("box bounds must have equal length")
+        if not all(abs(v) <= sys.float_info.max for v in (*self.lo, *self.hi)):
+            raise ValueError("box bounds must be finite")
         if any(l >= h for l, h in zip(self.lo, self.hi)):
             raise ValueError("box must have positive extent on every axis")
 
@@ -77,19 +80,15 @@ def halton_points(count, dim):
     return pts
 
 
-def sample_box(box: Box, count: int = 64, extra=()):
-    """Deterministic low-discrepancy sample of ``box``, plus declared points.
+def sample_box(box: Box, count: int):
+    """Deterministic low-discrepancy sample of ``box``.
 
     The same box and count always yield the same points, so residual sweeps
     and their witnesses are reproducible.
     """
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
-    pts = lo + halton_points(count, box.dim) * (hi - lo)
-    if len(extra):
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        pts = np.vstack([pts, extra])
-    return pts
+    return lo + halton_points(count, box.dim) * (hi - lo)
 
 
 def _parse_matrix(rows, symbols, shape, what):

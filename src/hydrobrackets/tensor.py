@@ -6,13 +6,13 @@ expressions, and matrix-level quantities (inverse metric derivatives,
 connection coefficients, curvature) are assembled from closed identities.
 No finite differences are used.
 
-Batched functions (suffix ``_at``) take an array of points with shape
-``(P, N)`` and return arrays with a leading ``P`` axis; the public
-single-point operations wrap them in `TensorValue`.  `table_at` and
-`table_d1_at` evaluate any object array of expressions, or its exact first
-derivatives, over a point batch; other modules use them for their own
-tables.  `table_at` delegates to `expr.evaluate_table`, and so evaluates
-every table here, the geometry pass's included.
+The tensor functions (suffix ``_at``) take a batch of points with shape
+``(P, N)`` and return arrays with a leading ``P`` axis; a single point of
+shape ``(N,)`` is a batch of one.  `table_at` and `table_d1_at` evaluate
+any object array of expressions, or its exact first derivatives, over a
+point batch; other modules use them for their own tables.  `table_at`
+delegates to `expr.evaluate_table`, and so evaluates every table here, the
+geometry pass's included.
 
 Geometry pass: the metric-derived tensors come from one evaluation per
 point batch (`_geometry`).  It evaluates the ``g_upper`` table once,
@@ -40,7 +40,6 @@ lower indices:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,32 +50,6 @@ from .system import SystemDef
 
 DET_FLOOR = 1e-300
 COND_CEILING = 1e12
-
-__all__ = [
-    "TensorValue", "metric_lower", "christoffel", "riemann_curvature",
-    "nijenhuis", "hantjes",
-]
-
-
-@dataclass(frozen=True)
-class TensorValue:
-    """Tensor components at a basepoint.
-
-    ``variance`` marks each slot ``"u"`` (upper) or ``"l"`` (lower); its
-    length equals ``entries.ndim``.
-    """
-
-    entries: np.ndarray
-    variance: tuple
-    basepoint: tuple
-
-    def __post_init__(self):
-        if len(self.variance) != self.entries.ndim:
-            raise ValueError("variance length must match tensor rank")
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 # --- memoized symbolic derivative tables -------------------------------------
@@ -122,13 +95,10 @@ def _d2_table(sys: SystemDef, exprs):
 
 
 def _points(sys, pts):
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != sys.N:
         raise ValueError(f"points must have {sys.N} components")
-    return pts, single
+    return pts
 
 
 def table_at(sys: SystemDef, exprs, pts):
@@ -137,7 +107,7 @@ def table_at(sys: SystemDef, exprs, pts):
     Returns shape ``(P,) + exprs.shape``; `expr.evaluate_table` evaluates
     each distinct entry once and broadcasts constant entries.
     """
-    pts, _ = _points(sys, pts)
+    pts = _points(sys, pts)
     return evaluate_table(exprs, sys.coords, sys.params, pts)
 
 
@@ -196,8 +166,9 @@ def _guarded_inverse(upper, pts):
 
 
 def metric_lower_at(sys: SystemDef, pts):
-    """Batched inverse metric with singularity guard."""
-    pts, _ = _points(sys, pts)
+    """Inverse metric; `SingularMetricError` where ``|det g_upper|`` is below
+    ``DET_FLOOR`` or its condition number is above ``COND_CEILING``."""
+    pts = _points(sys, pts)
     return _guarded_inverse(metric_upper_at(sys, pts), pts)
 
 
@@ -234,7 +205,7 @@ def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
     """
     if sys.g_upper is None:
         raise ValueError("system declares no metric")
-    pts, _ = _points(sys, pts)
+    pts = _points(sys, pts)
     upper = table_at(sys, sys.g_upper, pts)
     lower = _guarded_inverse(upper, pts)
     declared = sys.b is not None and not levi_civita
@@ -352,17 +323,24 @@ def nijenhuis_at(sys: SystemDef, pts):
     return t1 - np.swapaxes(t1, 2, 3) + t3 - np.swapaxes(t3, 2, 3)
 
 
-def hantjes_at(sys: SystemDef, pts, warn_degenerate=True):
+def hantjes_at(sys: SystemDef, pts):
     """Diagonalizability obstruction built from the operator torsion.
 
     ``H^n_{ml} = V^n_s V^s_t N^t_{ml} - V^n_s N^s_{tl} V^t_m
-    - V^n_s N^s_{mt} V^t_l + N^n_{st} V^s_m V^t_l``.
+    - V^n_s N^s_{mt} V^t_l + N^n_{st} V^s_m V^t_l``.  Coinciding operator
+    eigenvalues at any point trigger a `DegenerateHyperbolicityWarning`;
+    the tensor is still evaluated.
     """
-    pts_arr, _ = _points(sys, pts)
-    v = operator_at(sys, pts_arr)
-    if warn_degenerate:
-        _warn_on_eigenvalue_collision(v, pts_arr)
-    nt = nijenhuis_at(sys, pts_arr)
+    pts = _points(sys, pts)
+    v = operator_at(sys, pts)
+    eigs = np.linalg.eigvals(v)
+    gaps = np.min(pairwise_gaps(eigs), axis=1, initial=np.inf)
+    bad = gaps < 1e-8 * (1.0 + np.max(np.abs(eigs), axis=1))
+    if np.any(bad):
+        warnings.warn("coefficient operator has coinciding eigenvalues near "
+                      f"{point_at(pts, np.argmax(bad))}",
+                      DegenerateHyperbolicityWarning, stacklevel=2)
+    nt = nijenhuis_at(sys, pts)
     vt = np.swapaxes(v, 1, 2)[:, None]
     # x[s, m, l] = N^s_{mt} V^t_l; (vt @ nt)[s, m, l] = N^s_{tl} V^t_m
     x = nt @ v[:, None]
@@ -382,71 +360,3 @@ def pairwise_gaps(values):
     """
     i, j = np.triu_indices(values.shape[1], 1)
     return np.abs(values[:, i] - values[:, j])
-
-
-def _warn_on_eigenvalue_collision(v, pts):
-    eigs = np.linalg.eigvals(v)
-    scale = 1.0 + np.max(np.abs(eigs), axis=1)
-    gaps = np.min(pairwise_gaps(eigs), axis=1, initial=np.inf)
-    bad = gaps < 1e-8 * scale
-    if np.any(bad):
-        where = point_at(pts, np.argmax(bad))
-        warnings.warn(
-            f"coefficient operator has coinciding eigenvalues near {where}",
-            DegenerateHyperbolicityWarning, stacklevel=3)
-
-
-# --- public single-point operations ---------------------------------------------
-
-def _single(fn, sys, point, variance):
-    pts, _ = _points(sys, point)
-    return TensorValue(fn(sys, pts)[0], variance, tuple(np.asarray(point, float)))
-
-
-def metric_lower(sys: SystemDef, point) -> TensorValue:
-    """Covariant metric at a point.
-
-    Raises
-    ------
-    SingularMetricError
-        If the determinant of ``g_upper`` is below ``1e-300`` in absolute
-        value or its condition estimate exceeds ``1e12``.
-    """
-    return _single(metric_lower_at, sys, point, ("l", "l"))
-
-
-def christoffel(sys: SystemDef, point) -> TensorValue:
-    """Connection coefficients at a point.
-
-    Uses the declared lower-order coefficients when present, otherwise the
-    Levi-Civita connection of the declared metric.  Slot order: upper index
-    first, then the two lower indices.
-    """
-    return _single(christoffel_at, sys, point, ("u", "l", "l"))
-
-
-def riemann_curvature(sys: SystemDef, point):
-    """Curvature at a point.
-
-    Returns
-    -------
-    (TensorValue, TensorValue)
-        The ``(1, 3)`` curvature and the form with the second index raised.
-    """
-    lowered = _single(riemann_at, sys, point, ("u", "l", "l", "l"))
-    raised = _single(riemann_raised_at, sys, point, ("u", "u", "l", "l"))
-    return lowered, raised
-
-
-def nijenhuis(sys: SystemDef, point) -> TensorValue:
-    """Operator torsion at a point."""
-    return _single(nijenhuis_at, sys, point, ("u", "l", "l"))
-
-
-def hantjes(sys: SystemDef, point) -> TensorValue:
-    """Diagonalizability obstruction at a point.
-
-    Coinciding operator eigenvalues trigger a
-    `DegenerateHyperbolicityWarning`; the tensor is still evaluated.
-    """
-    return _single(hantjes_at, sys, point, ("u", "l", "l"))

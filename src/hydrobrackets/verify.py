@@ -9,8 +9,8 @@ constructs canonical flat coordinates by integrating the frame transport
 equations, and `pencil_regularity` tests a metric pair for distinct
 pencil roots.
 
-Every report is deterministic: same system, box, tolerances and sample
-count give byte-identical JSON.
+Each check samples the system's box at the same ``SAMPLES`` points, so
+the same system and tolerances give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from .errors import (
     DomainError, MissingAffinorsError, MissingGammaError, NotFlatError,
     SingularMetricError,
 )
-from .system import Box, SystemDef, sample_box
+from .system import SystemDef, sample_box
 
+# low-discrepancy points per residual sweep of the system's box
+SAMPLES = 64
 TOL_ZERO = 1e-9
 TOL_FLAT = 1e-7
 # commutativity of affinor pairs is always judged at this absolute scale,
@@ -171,26 +173,18 @@ def _worst_check(name, tensors, pts, tol):
     return CheckResult(name, residual, tol, residual < tol, witness)
 
 
-def _symmetry_check(sys, pts, tol):
-    g = tz.metric_upper_at(sys, pts)
-    return _check("metric-symmetry", g - np.swapaxes(g, 1, 2), pts, tol)
-
-
-def _connection_checks(sys, pts, tol):
-    """Consistency of declared b with the metric connection, when b is given."""
-    if sys.b is None:
-        return []
-    gam = tz.christoffel_at(sys, pts)
-    out = [_check("connection-torsion",
-                  gam - np.swapaxes(gam, 2, 3), pts, tol)]
-    out.append(_check("connection-compatibility",
-                      gam - tz.levi_civita_at(sys, pts), pts, tol))
-    return out
-
-
 def _base_checks(sys, pts, tol):
-    """Metric symmetry and, when ``b`` is declared, its consistency."""
-    return [_symmetry_check(sys, pts, tol)] + _connection_checks(sys, pts, tol)
+    """Metric symmetry and, when ``b`` is declared, its consistency with the
+    metric connection."""
+    g = tz.metric_upper_at(sys, pts)
+    out = [_check("metric-symmetry", g - np.swapaxes(g, 1, 2), pts, tol)]
+    if sys.b is not None:
+        gam = tz.christoffel_at(sys, pts)
+        out.append(_check("connection-torsion",
+                          gam - np.swapaxes(gam, 2, 3), pts, tol))
+        out.append(_check("connection-compatibility",
+                          gam - tz.levi_civita_at(sys, pts), pts, tol))
+    return out
 
 
 def _dn(sys, pts, base, curv, tol):
@@ -217,14 +211,10 @@ def _mf(sys, pts, base, curv, tol):
                         curvature_constant=c_fit, cross_flag=cross)
 
 
-def _affinor_values(sys, pts):
-    return [(sign, tz.table_at(sys, w, pts), tz.table_d1_at(sys, w, pts))
-            for sign, w in sys.affinors]
-
-
 def _fer(sys, pts, base, curv, tol):
     checks = list(base)
-    affs = _affinor_values(sys, pts)
+    affs = [(sign, tz.table_at(sys, w, pts), tz.table_d1_at(sys, w, pts))
+            for sign, w in sys.affinors]
 
     if affs:
         lower = tz.metric_lower_at(sys, pts)
@@ -258,26 +248,24 @@ def _fer(sys, pts, base, curv, tol):
     return VerifyReport(sys.name, VERDICT_FER if ok else VERDICT_FAIL, checks)
 
 
-def _run(body, sys, box, samples, extra_points, tol_zero):
+def _run(body, sys, tol_zero, samples=SAMPLES):
     """Sample once, then judge ``body`` on the shared checks and curvature."""
-    pts = sample_box(box or sys.box, samples, extra_points)
+    pts = sample_box(sys.box, samples)
     base = _base_checks(sys, pts, tol_zero)
     return body(sys, pts, base, tz.riemann_raised_at(sys, pts), tol_zero)
 
 
-def check_dn(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
-             extra_points=(), tol_zero: float = TOL_ZERO) -> VerifyReport:
+def check_dn(sys: SystemDef, *, tol_zero: float = TOL_ZERO) -> VerifyReport:
     """Verify the flat-metric (local first-order) bracket conditions.
 
     Checks metric symmetry, consistency of ``b`` with the metric connection
     (when ``b`` is declared), and vanishing of the curvature, over the
-    low-discrepancy sample of the box plus any ``extra_points``.
+    low-discrepancy sample of the system's box.
     """
-    return _run(_dn, sys, box, samples, extra_points, tol_zero)
+    return _run(_dn, sys, tol_zero)
 
 
-def check_mf(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
-             extra_points=(), tol_zero: float = TOL_ZERO) -> VerifyReport:
+def check_mf(sys: SystemDef, *, tol_zero: float = TOL_ZERO) -> VerifyReport:
     """Verify the constant-curvature bracket conditions.
 
     The curvature constant is fitted by least squares over all samples and
@@ -285,11 +273,10 @@ def check_mf(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
     tolerance.  A fitted constant of zero means the bracket degenerates to
     the flat case.
     """
-    return _run(_mf, sys, box, samples, extra_points, tol_zero)
+    return _run(_mf, sys, tol_zero)
 
 
-def check_ferapontov(sys: SystemDef, *, box: Box | None = None,
-                     samples: int = 64, extra_points=(),
+def check_ferapontov(sys: SystemDef, *,
                      tol_zero: float = TOL_ZERO) -> VerifyReport:
     """Verify the affinor (nonlocal) bracket conditions.
 
@@ -308,11 +295,10 @@ def check_ferapontov(sys: SystemDef, *, box: Box | None = None,
     """
     if sys.affinors is None:
         raise MissingAffinorsError("system declares no affinor family")
-    return _run(_fer, sys, box, samples, extra_points, tol_zero)
+    return _run(_fer, sys, tol_zero)
 
 
-def check_liouville(sys: SystemDef, *, box: Box | None = None,
-                    samples: int = 64, extra_points=(),
+def check_liouville(sys: SystemDef, *,
                     tol_zero: float = TOL_ZERO) -> VerifyReport:
     """Verify the physical-form relations between gamma, the metric and b.
 
@@ -328,7 +314,7 @@ def check_liouville(sys: SystemDef, *, box: Box | None = None,
         raise MissingGammaError("system declares no gamma")
     if sys.g_upper is None or sys.b is None:
         raise ValueError("physical-form check needs both g_upper and b")
-    pts = sample_box(box or sys.box, samples, extra_points)
+    pts = sample_box(sys.box, SAMPLES)
     gamma = tz.table_at(sys, sys.gamma, pts)
     g = tz.metric_upper_at(sys, pts)
     checks = [_check("gamma-symmetrization",
@@ -342,8 +328,8 @@ def check_liouville(sys: SystemDef, *, box: Box | None = None,
     return VerifyReport(sys.name, VERDICT_LIOUVILLE if ok else VERDICT_FAIL, checks)
 
 
-def classify(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
-             extra_points=(), tol_zero: float = TOL_ZERO) -> VerifyReport:
+def classify(sys: SystemDef, *, samples: int = SAMPLES,
+             tol_zero: float = TOL_ZERO) -> VerifyReport:
     """Try bracket classes from most restrictive to least and report.
 
     Order: flat, constant-curvature, affinor extension.  If the first two
@@ -352,7 +338,7 @@ def classify(sys: SystemDef, *, box: Box | None = None, samples: int = 64,
     guessed here.  The sample, the shared checks and the curvature are
     computed once and judged by every class tried.
     """
-    return _run(_classify, sys, box, samples, extra_points, tol_zero)
+    return _run(_classify, sys, tol_zero, samples)
 
 
 def _classify(sys, pts, base, curv, tol):
@@ -394,18 +380,17 @@ class PencilReport(JsonReport):
 
 
 def pencil_regularity(sys1: SystemDef, sys2: SystemDef, *,
-                      box: Box | None = None, samples: int = 64,
-                      extra_points=(), tol_gap: float = 1e-8) -> PencilReport:
+                      tol_gap: float = 1e-8) -> PencilReport:
     """Roots of ``det(g1 - lambda g2)`` over the box, with distinctness verdict.
 
-    The pair is regular when at every sample the roots are pairwise distinct
-    (gap above ``tol_gap``).  Roots are sorted by real then imaginary part,
-    so reports are reproducible.
+    The pair is regular when at every sample of the box of ``sys1`` the roots
+    are pairwise distinct (gap above ``tol_gap``).  Roots are sorted by real
+    then imaginary part, so reports are reproducible.
     """
     if sys1.N != sys2.N:
         raise ValueError("metric pair must have matching dimension")
     import scipy.linalg     # deferred: only pencils need it, and it is slow to import
-    pts = sample_box(box or sys1.box, samples, extra_points)
+    pts = sample_box(sys1.box, SAMPLES)
     g1 = tz.metric_upper_at(sys1, pts)
     g2 = tz.metric_upper_at(sys2, pts)
     all_roots = np.empty((len(pts), sys1.N), dtype=complex)
@@ -611,8 +596,7 @@ def _develop(sys, basepoint, frame, axes, order, h_max):
     return n, p
 
 
-def develop_flat_coords(sys: SystemDef, *, box: Box | None = None,
-                        resolution: int = 64, basepoint=None,
+def develop_flat_coords(sys: SystemDef, *, resolution: int = 64, basepoint=None,
                         tol_flat: float = TOL_FLAT) -> FlatChart:
     """Develop canonical flat coordinates of a flat metric over a grid.
 
@@ -643,7 +627,7 @@ def develop_flat_coords(sys: SystemDef, *, box: Box | None = None,
         Chart values and gradients on the grid, the initial frame, the
         signature, and the pushed-metric and path-agreement residuals.
     """
-    box = box or sys.box
+    box = sys.box
     nn = sys.N
     basepoint = tuple(box.center if basepoint is None else basepoint)
     if not box.contains(basepoint):

@@ -176,11 +176,12 @@ def test_criterion_04_flat_chart_development():
            f"({elapsed:.1f}s < 10s)")
 
 
+@pytest.mark.filterwarnings(
+    "ignore::hydrobrackets.errors.DegenerateHyperbolicityWarning")
 def test_criterion_05_torsion_obstruction_separates_operators():
     t0 = time.perf_counter()
     sw = library.load("shallow_water").system
-    h_sw = np.max(np.abs(tensor.hantjes_at(
-        sw, sample_box(sw.box, 64), warn_degenerate=False)))
+    h_sw = np.max(np.abs(tensor.hantjes_at(sw, sample_box(sw.box, 64))))
 
     rng = np.random.default_rng(7)
 
@@ -193,8 +194,8 @@ def test_criterion_05_torsion_obstruction_separates_operators():
         ["U1", "U2", "U3"],
         V=[[entry() for _ in range(3)] for _ in range(3)],
         box=((-1.0,) * 3, (1.0,) * 3), name="generic-operator")
-    h_gen = np.max(np.abs(tensor.hantjes_at(
-        generic, sample_box(generic.box, 64), warn_degenerate=False)))
+    h_gen = np.max(np.abs(tensor.hantjes_at(generic,
+                                            sample_box(generic.box, 64))))
 
     elapsed = time.perf_counter() - t0
     ok = h_sw < 1e-10 and h_gen > 1e-3 and elapsed < 5.0
@@ -274,13 +275,13 @@ def test_criterion_09_momentum_flow_and_annihilators():
     t0 = time.perf_counter()
     can = library.load("canonical").system
     field, deriv = harmonic_field(can, 64, 5)
-    momentum = fb.Functional("(U1^2 + U2^2)/2", can.coords, name="momentum")
+    momentum = fb.Functional("(U1^2 + U2^2)/2", can.coords)
     flow = fb.hamiltonian_flow(can, momentum, field)
     flow_err = float(np.max(np.abs(flow.values - deriv)))
 
     worst = 0.0
     for cname in can.coords:
-        casimir = fb.Functional(cname, can.coords, name=f"total {cname}")
+        casimir = fb.Functional(cname, can.coords)
         for k in range(10):
             G = fb.random_polynomial_functional(can.coords, degree=3,
                                                 seed=100 + k)
@@ -304,11 +305,11 @@ def test_criterion_10_pencil_roots_match_charpoly_oracle():
         g2 = b @ b.T + np.eye(4)
         s1 = constant_metric_system(g1, f"pencil-a{seed}")
         s2 = constant_metric_system(g2, f"pencil-b{seed}")
-        rep = verify.pencil_regularity(s1, s2, samples=2)
+        rep = verify.pencil_regularity(s1, s2)
         oracle = charpoly_pencil_roots(g1, g2)
         worst = max(worst, float(np.max(np.abs(rep.roots - oracle[None, :]))))
         all_regular = all_regular and rep.regular
-    degenerate = verify.pencil_regularity(s1, s1, samples=2)
+    degenerate = verify.pencil_regularity(s1, s1)
     elapsed = time.perf_counter() - t0
     ok = (worst < 1e-8 and all_regular and not degenerate.regular
           and elapsed < 5.0)

@@ -114,6 +114,32 @@ def test_box_length_mismatch_rejected(tmp_path):
     assert "$.box.min" in str(err.value)
 
 
+@pytest.mark.parametrize("keys, literal, path", [
+    (("tolerances", "tol_zero"), "Infinity", "$.tolerances.tol_zero"),
+    (("box", "min", 1), "NaN", "$.box.min[1]"),
+    (("g_upper", 0, 0), "1e999", "$.g_upper[0][0]"),
+    (("params", "k"), "-Infinity", "$.params.k"),
+    (("box", "max", 0), "1" + "0" * 400, "$.box.max[0]"),
+])
+def test_non_finite_numbers_rejected_with_their_path(tmp_path, capsys, keys,
+                                                     literal, path):
+    doc = gaussian_warp_doc()
+    doc.update(tolerances={"tol_zero": 1e-9}, params={"k": 1.0})
+    owner = doc
+    for key in keys[:-1]:
+        owner = owner[key]
+    owner[keys[-1]] = "@slot@"
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(doc).replace('"@slot@"', literal))
+    cfgmod.validate(json.loads(config.read_text()))     # the schema allows it
+    message = f"config invalid at {path}: "
+    with pytest.raises(ConfigError) as err:
+        cfgmod.load_config(str(config))
+    assert message in str(err.value)
+    assert main(["check", str(config)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_json_syntax_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "coords": [}')
@@ -241,6 +267,18 @@ def test_grid_below_two_is_a_usage_error(command, grid, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"argument --grid: must be at least 2, got {grid}" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("check", "--tol-zero"), ("flat-coords", "--tol-flat"),
+    ("hodograph", "--tol-zero"), ("jacobi", "--tol-zero")])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_tolerance_must_be_finite_and_positive(command, option, value, capsys):
+    assert main([command, "canonical", option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert (f"argument {option}: must be a finite number above 0, got {value}"
+            in err)
 
 
 # --- CLI: check -----------------------------------------------------------------
@@ -429,6 +467,15 @@ def test_jacobi_reports_are_deterministic(tmp_path):
 def test_jacobi_ultralocal_bracket(capsys):
     assert main(["jacobi", "so3", "--grid", "32"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["shallow_water", "epsilon3",
+                                  "shallow_water_riemann"])
+def test_jacobi_without_a_bracket_is_an_error(name, capsys):
+    assert main(["jacobi", name, "--grid", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: system declares no bracket for part 'full'" in captured.err
 
 
 # --- entry point ----------------------------------------------------------------

@@ -12,7 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import canonical_system, polar_pair_system, so3_system, sphere_system
+from conftest import (
+    canonical_system, epsilon_system, polar_pair_system,
+    shallow_water_riemann_system, shallow_water_system, so3_system,
+    sphere_system,
+)
 from hydrobrackets import fieldbracket as fb
 from hydrobrackets.errors import ShapeMismatchError, StepTooSmallWarning
 from hydrobrackets.system import Box, SystemDef
@@ -118,6 +122,31 @@ def test_operator_part_selection_and_pencil():
         fb.apply_bracket_operator(sys, U, xi, part="nonsense")
     with pytest.raises(ValueError):
         fb.apply_bracket_operator(sys, U, xi, part="local", pencil_lambda=1.0)
+
+
+@pytest.mark.parametrize("sys", [
+    shallow_water_system(), epsilon_system(), shallow_water_riemann_system()],
+    ids=lambda s: s.name)
+def test_system_without_a_bracket_is_rejected(sys):
+    U = smooth_field(sys.box.center, 16)
+    F, G, H = cubic_triple(sys.coords)
+    with pytest.raises(ValueError, match="declares no bracket for part 'full'"):
+        fb.bracket(sys, F, G, U)
+    with pytest.raises(ValueError, match="declares no bracket"):
+        fb.jacobi_residual(sys, F, G, H, U)
+
+
+def test_selected_part_needs_its_coefficients():
+    U = smooth_field((0.4, -0.2), 16)
+    xi = np.ones((2, 16))
+    with pytest.raises(ValueError, match=r"part 'ultralocal' \(needs h_ultra\)"):
+        fb.apply_bracket_operator(canonical_system(), U, xi, part="ultralocal")
+    ultra_only = SystemDef(["a", "b"], h_ultra=[["0", "a"], ["-a", "0"]])
+    with pytest.raises(ValueError, match=r"part 'local' \(needs g_upper\)"):
+        fb.apply_bracket_operator(ultra_only, U, xi, part="local")
+    full = fb.apply_bracket_operator(ultra_only, U, xi).values
+    assert np.array_equal(
+        full, fb.apply_bracket_operator(ultra_only, U, xi, part="ultralocal").values)
 
 
 # --- functionals -----------------------------------------------------------------

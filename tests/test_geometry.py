@@ -186,13 +186,16 @@ def test_geometry_matches_reference(sys):
     assert_close(tz.riemann_raised_at(sys, pts), expected)
 
 
+@pytest.mark.filterwarnings(
+    "ignore::hydrobrackets.errors.DegenerateHyperbolicityWarning")
 @pytest.mark.parametrize("sys", OPERATOR_SYSTEMS)
 def test_hantjes_matches_reference(sys):
     pts = sample_box(sys.box, 48)
-    assert_close(tz.hantjes_at(sys, pts, warn_degenerate=False),
-                 ref_hantjes(sys, pts))
+    assert_close(tz.hantjes_at(sys, pts), ref_hantjes(sys, pts))
 
 
+@pytest.mark.filterwarnings(
+    "ignore::hydrobrackets.errors.DegenerateHyperbolicityWarning")
 def test_references_are_not_vacuous():
     """The agreement above is not vacuous: these tensors are order one."""
     for sys in (conformal_metric(4, 1.0), coupled_metric(3)):
@@ -201,15 +204,30 @@ def test_references_are_not_vacuous():
     for param in OPERATOR_SYSTEMS[-2:]:
         sys = param.values[0]
         pts = sample_box(sys.box, 16)
-        assert np.max(np.abs(tz.hantjes_at(sys, pts, warn_degenerate=False))) > 1e-2
+        assert np.max(np.abs(tz.hantjes_at(sys, pts))) > 1e-2
 
 
-def test_single_point_views_match_batch():
-    sys = coupled_metric(3)
+def test_one_point_is_a_batch_of_one():
+    """Every ``*_at`` view takes a 1-D point as the batch holding it."""
+    base = coupled_metric(3)
+    sys = SystemDef(
+        base.coords, g_upper=base.g_upper,
+        b=[[[f"0.1*u{s + 1}*u{n + 1} + {l}" for l in range(3)]
+            for n in range(3)] for s in range(3)],
+        V=[["u1 + 1", "0.1*u2", "0"], ["0", "u2 + 3", "0.2*u1"],
+           ["0.3", "0", "u3^2 + 5"]],
+        h_ultra=[[f"sin(u{i + 1}) + {j}" for j in range(3)] for i in range(3)],
+        box=base.box)
     pts = sample_box(sys.box, 4)
-    lowered, raised = tz.riemann_curvature(sys, pts[2])
-    assert np.array_equal(lowered.entries, tz.riemann_at(sys, pts[2:3])[0])
-    assert np.array_equal(raised.entries, tz.riemann_raised_at(sys, pts[2:3])[0])
+    views = sorted(name for name in vars(tz)
+                   if name.endswith("_at") and name != "point_at")
+    assert len(views) == 15
+    for name in views:
+        fn = getattr(tz, name)
+        args = (sys, sys.g_upper) if name.startswith("table") else (sys,)
+        one = fn(*args, pts[2])
+        assert one.shape[0] == 1, name
+        assert np.array_equal(one, fn(*args, pts[2:3])), name
 
 
 # --- one curvature per classify --------------------------------------------------

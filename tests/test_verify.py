@@ -266,7 +266,7 @@ def test_check_liouville_requires_gamma():
 def test_pencil_diagonal_pair():
     s1 = SystemDef(["x1", "x2"], g_upper=[["1", "0"], ["0", "2"]])
     s2 = SystemDef(["x1", "x2"], g_upper=[["1", "0"], ["0", "1"]])
-    rep = verify.pencil_regularity(s1, s2, samples=8)
+    rep = verify.pencil_regularity(s1, s2)
     assert rep.regular
     assert abs(rep.min_gap - 1.0) < 1e-12
     for roots in rep.roots:
@@ -275,7 +275,7 @@ def test_pencil_diagonal_pair():
 
 def test_pencil_coincident_pair_is_singular():
     s = SystemDef(["x1", "x2"], g_upper=[["1", "0"], ["0", "2"]])
-    rep = verify.pencil_regularity(s, s, samples=4)
+    rep = verify.pencil_regularity(s, s)
     assert not rep.regular
     assert rep.min_gap <= 1e-12
     assert np.allclose(rep.roots, 1.0, atol=1e-12)
@@ -289,8 +289,7 @@ def test_pencil_roots_match_charpoly_oracle():
         g1 = a @ a.T + np.eye(4)
         g2 = b @ b.T + np.eye(4)
         rep = verify.pencil_regularity(constant_metric_system(g1, "p1"),
-                                       constant_metric_system(g2, "p2"),
-                                       samples=2)
+                                       constant_metric_system(g2, "p2"))
         expect = charpoly_pencil_roots(g1, g2)
         for roots in rep.roots:
             assert np.max(np.abs(roots - expect)) < 1e-8
@@ -400,8 +399,8 @@ def test_reports_are_deterministic():
     m = rng.normal(size=(4, 4))
     pair = (constant_metric_system(m @ m.T + np.eye(4), "p1"),
             constant_metric_system(np.eye(4), "p2"))
-    p1 = verify.pencil_regularity(*pair, samples=8).to_json()
-    p2 = verify.pencil_regularity(*pair, samples=8).to_json()
+    p1 = verify.pencil_regularity(*pair).to_json()
+    p2 = verify.pencil_regularity(*pair).to_json()
     assert p1 == p2
 
 
