@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -47,6 +48,15 @@ def _tol(text):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads `-1e-3` or `-inf` as an option flag, not as a
+        # value; take every negative float spelling as a value, so that the
+        # option's type check (`_tol`) judges it
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
     # usage problems are exit code 1; 2 is reserved for checked failures
     def error(self, message):
         self.print_usage(sys.stderr)

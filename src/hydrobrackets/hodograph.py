@@ -9,8 +9,8 @@ at a time (`hodograph_solve`), with an independent finite-difference
 residual audit (`verify_solution`).
 
 Closed-form flows differentiate exactly; grid-sampled flows interpolate
-with bicubic splines, whose interpolation error is the dominant error term
-of the two-component pipeline.
+with bicubic Hermite patches, whose interpolation error is the dominant
+error term of the two-component pipeline.
 """
 
 from __future__ import annotations
@@ -172,16 +172,11 @@ class CommutingFlow:
             # [nu, mu] = d w^nu / d R^mu
             self._dw = np.array([[differentiate(e, c) for c in self.coords]
                                  for e in exprs], dtype=object)
-            self._splines = None
         else:
             self.kind = "sampled"
             if len(self.coords) != 2:
                 raise ValueError("sampled flows are two-component")
-            import scipy.interpolate    # deferred: slow to import, only splines need it
-            self._splines = tuple(
-                scipy.interpolate.RectBivariateSpline(axes[0], axes[1],
-                                                      values[k], kx=3, ky=3)
-                for k in range(len(self.coords)))
+            self._hermite = _HermiteGrid(axes, values)
 
     @property
     def box(self) -> Box:
@@ -193,13 +188,11 @@ class CommutingFlow:
     def w_at(self, point):
         """w components at one point ``(N,)`` or a batch ``(P, N)``.
 
-        Returns shape ``(N,)`` or ``(P, N)``; a sampled flow makes one
-        vectorised spline call per component.
+        Returns shape ``(N,)`` or ``(P, N)``.
         """
         if self.kind == "closed-form":
             return evaluate_table(self._w, self.coords, self.params, point)
-        r1, r2 = np.moveaxis(np.asarray(point, dtype=float), -1, 0)
-        return np.stack([s(r1, r2, grid=False) for s in self._splines], axis=-1)
+        return self._hermite(point, (0, 0))[..., 0]
 
     def dw_at(self, point):
         """Jacobian d w^nu / d R^mu at one point or a batch.
@@ -209,10 +202,83 @@ class CommutingFlow:
         """
         if self.kind == "closed-form":
             return evaluate_table(self._dw, self.coords, self.params, point)
-        r1, r2 = np.moveaxis(np.asarray(point, dtype=float), -1, 0)
-        return np.stack([np.stack([s(r1, r2, dx=1, grid=False),
-                                   s(r1, r2, dy=1, grid=False)], axis=-1)
-                         for s in self._splines], axis=-2)
+        return self._hermite(point, (1, 0), (0, 1))
+
+
+def _d4(f, h, axis):
+    """First derivative of node values along ``axis``, step ``h``: 4th-order
+    central differences, 4th-order one-sided ones on the two edge rows
+    (2nd-order `np.gradient` on axes of fewer than 5 nodes)."""
+    f = np.moveaxis(f, axis, 0)
+    if len(f) < 5:
+        d = np.gradient(f, h, axis=0, edge_order=min(2, len(f) - 1))
+    else:
+        d = np.empty_like(f)
+        d[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+        edge = np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]]) / (12 * h)
+        d[:2] = np.tensordot(edge, f[:5], axes=1)
+        d[-2:] = -np.tensordot(edge[::-1, ::-1], f[-5:], axes=1)
+    return np.moveaxis(d, 0, axis)
+
+
+# cubic Hermite basis on [0, 1] as power-series coefficients [degree, order,
+# weight]: order 0 is the basis, order 1 its derivative; the weights multiply
+# the value and the slope at the cell's left node, then at its right node
+_HERMITE = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],
+                     [[0, 1, 0, 0], [-6, -4, 6, -2]],
+                     [[-3, -2, 3, -1], [6, 3, -6, 3]],
+                     [[2, 1, -2, 1], [0, 0, 0, 0]]], dtype=float)
+
+
+class _HermiteGrid:
+    """Bicubic Hermite interpolant of the two flow components ``values[k]``
+    on a uniform grid ``axes``: node slopes and cross derivatives by `_d4`; queries are
+    clamped to the grid box."""
+
+    def __init__(self, axes, values):
+        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        self.steps = tuple(a[1] - a[0] if len(a) > 1 else 0.0 for a in self.axes)
+        for a, h in zip(self.axes, self.steps):
+            if not (h > 0 and np.allclose(np.diff(a), h, rtol=1e-9, atol=0.0)):
+                raise ValueError("sampled flow axes must be increasing uniform "
+                                 "grids of at least 2 nodes")
+        f = np.asarray(values, dtype=float)
+        (x, y), (hx, hy) = self.axes, self.steps
+        if f.shape != (2, len(x), len(y)):
+            raise ValueError("sampled flow values must have shape "
+                             f"(2, {len(x)}, {len(y)})")
+        # [k, i, j, s, r] = d_x^s d_y^r w^k at node (i, j), scaled to a unit
+        # cell; filled in place, as the grid is large
+        self.nodes = np.empty(f.shape + (2, 2))
+        self.nodes[..., 0, 0] = f
+        self.nodes[..., 0, 1] = hy * _d4(f, hy, 2)
+        fx = _d4(f, hx, 1)
+        self.nodes[..., 1, 0] = hx * fx
+        self.nodes[..., 1, 1] = hx * hy * _d4(fx, hy, 2)
+
+    def __call__(self, point, *orders):
+        """Derivatives of the given ``(x order, y order)`` at one point or a
+        batch, stacked on the last axis: shape ``(N, len(orders))`` or
+        ``(P, N, len(orders))``."""
+        q = np.atleast_2d(np.asarray(point, dtype=float))
+        cells, bases = [], []
+        for r, a, h in zip(q.T, self.axes, self.steps):
+            r = np.clip(r, a[0], a[-1])
+            i = np.clip(np.searchsorted(a, r, side="right") - 1, 0, len(a) - 2)
+            t = ((r - a[i]) / h)[:, None, None]
+            cells.append(i[:, None] + (0, 1))
+            bases.append(((_HERMITE[3] * t + _HERMITE[2]) * t + _HERMITE[1]) * t
+                         + _HERMITE[0])
+        # [p, k, (a, s, b, r)]: node a/b of the cell in x/y, derivative s/r
+        c = self.nodes[:, cells[0][:, :, None], cells[1][:, None, :]]
+        c = c.transpose(1, 0, 2, 4, 3, 5).reshape(len(q), -1, 16)
+        # a batch is summed point by point, in the order of a single point
+        res = np.stack([
+            (c * (bases[0][:, ox, :, None] * bases[1][:, oy, None, :])
+             .reshape(len(q), 1, 16)).sum(axis=-1)
+            / (self.steps[0] ** ox * self.steps[1] ** oy)
+            for ox, oy in orders], axis=-1)
+        return res[0] if np.ndim(point) == 1 else res
 
 
 def closed_form_flow(sys: SystemDef, exprs, *,

@@ -379,24 +379,52 @@ class PencilReport(JsonReport):
         }
 
 
+def _pencil_roots(g1, g2):
+    """Roots lambda of ``det(g1 - lambda g2)`` per point, shape (P, N).
+
+    They are ``1 / mu`` for the eigenvalues mu of ``g1^-1 g2``, infinite
+    where mu vanishes (g2 singular).  When g1 is singular somewhere, points
+    are taken one at a time, and where it is the roots are the eigenvalues
+    of ``g2^-1 g1``; a point where both are singular gets NaN roots.
+    """
+    def roots(a, b, invert):
+        mu = np.linalg.eigvals(np.linalg.solve(a, b)).astype(complex)
+        if not invert:
+            return mu
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(mu == 0, np.inf, 1 / mu)
+
+    try:
+        return roots(g1, g2, True)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(g1.shape[:2], np.nan, dtype=complex)
+    for p in range(len(g1)):
+        for a, b, invert in ((g1[p], g2[p], True), (g2[p], g1[p], False)):
+            try:
+                out[p] = roots(a, b, invert)
+                break
+            except np.linalg.LinAlgError:
+                pass
+    return out
+
+
 def pencil_regularity(sys1: SystemDef, sys2: SystemDef, *,
                       tol_gap: float = 1e-8) -> PencilReport:
     """Roots of ``det(g1 - lambda g2)`` over the box, with distinctness verdict.
 
     The pair is regular when at every sample of the box of ``sys1`` the roots
     are pairwise distinct (gap above ``tol_gap``).  Roots are sorted by real
-    then imaginary part, so reports are reproducible.
+    then imaginary part, so reports are reproducible.  An infinite or NaN
+    root (g2 singular, or g1 and g2 both) counts as a collision.
     """
     if sys1.N != sys2.N:
         raise ValueError("metric pair must have matching dimension")
-    import scipy.linalg     # deferred: only pencils need it, and it is slow to import
     pts = sample_box(sys1.box, SAMPLES)
-    g1 = tz.metric_upper_at(sys1, pts)
-    g2 = tz.metric_upper_at(sys2, pts)
-    all_roots = np.empty((len(pts), sys1.N), dtype=complex)
-    for p in range(len(pts)):
-        roots = scipy.linalg.eigvals(g1[p], g2[p])
-        all_roots[p] = roots[np.lexsort((roots.imag, roots.real))]
+    all_roots = _pencil_roots(tz.metric_upper_at(sys1, pts),
+                              tz.metric_upper_at(sys2, pts))
+    all_roots = np.take_along_axis(
+        all_roots, np.lexsort((all_roots.imag, all_roots.real)), axis=1)
     # a non-finite root gap counts as a collision
     gaps = tz.pairwise_gaps(all_roots)
     gaps[~np.isfinite(gaps)] = 0.0

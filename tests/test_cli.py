@@ -5,6 +5,7 @@ asserted directly; one subprocess test covers the installed entry point.
 """
 
 import argparse
+import ast
 import hashlib
 import inspect
 import json
@@ -281,6 +282,24 @@ def test_tolerance_must_be_finite_and_positive(command, option, value, capsys):
             in err)
 
 
+def test_hodograph_runs_at_the_smallest_grid(capsys):
+    # a 3 x 3 node Goursat grid still interpolates (2nd-order node slopes)
+    assert main(["hodograph", "shallow_water_riemann", "--grid", "2"]) == 0
+    assert "solved 1088/1088" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check", "jacobi"])
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-INF", "-nan", "-.5"])
+def test_negative_tolerance_spellings_reach_the_tolerance_check(command, value,
+                                                                capsys):
+    # argparse would read these as option flags ("expected one argument")
+    assert main([command, "canonical", "--tol-zero", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert (f"argument --tol-zero: must be a finite number above 0, got {value}"
+            in err)
+
+
 # --- CLI: check -----------------------------------------------------------------
 
 def test_examples_subcommand(capsys):
@@ -496,12 +515,34 @@ def test_installed_entry_point():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only pencils and sampled flows need scipy; it is imported on first use."""
-    code = "import sys, hydrobrackets.cli; print('scipy' in sys.modules)"
+    """The runtime needs numpy only: neither the import, nor a sampled-flow
+    hodograph solve, nor a metric pencil loads scipy."""
+    code = ("import contextlib, io, sys, hydrobrackets.cli as cli\n"
+            "print('scipy' in sys.modules)\n"
+            "from hydrobrackets import library, verify\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['hodograph', 'shallow_water_riemann']) == 0\n"
+            "sphere = library.load('sphere').system\n"
+            "verify.pencil_regularity(sphere, sphere)\n"
+            "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted((SRC / "hydrobrackets").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_cli_import_and_config_load_leave_jsonschema_unloaded():

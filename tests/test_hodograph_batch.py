@@ -337,16 +337,23 @@ def test_batched_flow_matches_point_calls(kind):
     assert flow.w_at(point).shape == (2,) and flow.dw_at(point).shape == (2, 2)
 
 
-def test_sampled_point_calls_match_scalar_spline_calls():
+def test_sampled_point_calls_match_batch_calls_at_nodes_edges_and_outside():
+    # nodes, cell edges and clamped points outside the box take the edge
+    # branches of the cell search; a single point goes through the batch path
     sys = shallow_water_riemann_system()
     flow = hg.integrate_commuting_flow(sys, "R1^2/2", "R2^2/2 - 5", resolution=32)
-    for p in sample_box(sys.box, 9):
-        ref_w = np.array([float(s(p[0], p[1], grid=False)) for s in flow._splines])
-        ref_dw = np.array([[float(s(p[0], p[1], dx=1, grid=False)),
-                            float(s(p[0], p[1], dy=1, grid=False))]
-                           for s in flow._splines])
-        assert_bitwise(flow.w_at(p), ref_w)
-        assert_bitwise(flow.dw_at(p), ref_dw)
+    (x, y), (lo, hi) = flow.axes, (np.array(flow.box.lo), np.array(flow.box.hi))
+    pts = np.concatenate([
+        np.stack([x[[0, 1, 16, 31, 32]], y[[0, 2, 15, 31, 32]]], axis=1),
+        lo + (hi - lo) * np.array([[-0.5, 0.5], [1.5, 0.5], [0.5, -2.0],
+                                   [2.0, 2.0], [0.25, 1.0]]),
+        sample_box(sys.box, 9)])
+    w, dw = flow.w_at(pts), flow.dw_at(pts)
+    for p, point in enumerate(pts):
+        assert_bitwise(flow.w_at(point), w[p])
+        assert_bitwise(flow.dw_at(point), dw[p])
+        assert_bitwise(flow.w_at(tuple(point)), w[p])
+        assert_bitwise(flow.w_at(pts[p:p + 1]), w[p:p + 1])
 
 
 def test_box_contains_takes_a_batch():

@@ -295,6 +295,39 @@ def test_pencil_roots_match_charpoly_oracle():
             assert np.max(np.abs(roots - expect)) < 1e-8
 
 
+def test_pencil_with_singular_g2_has_an_infinite_root():
+    # det(diag(1, 2) - lam diag(1, 0)) = 2 (1 - lam): one root is infinite,
+    # which counts as a collision at the first sample
+    s1 = SystemDef(["x1", "x2"], g_upper=[["1", "0"], ["0", "2"]])
+    s2 = SystemDef(["x1", "x2"], g_upper=[["1", "0"], ["0", "0"]])
+    rep = verify.pencil_regularity(s1, s2)
+    assert not rep.regular
+    assert rep.min_gap == 0.0
+    assert rep.witness[0] == 0.0 and abs(rep.witness[1] + 1 / 3) < 1e-12
+    assert np.all(rep.roots[:, 0] == 1.0) and np.all(rep.roots[:, 1] == np.inf)
+
+
+def test_pencil_with_singular_g1_takes_roots_point_by_point():
+    # det([[1, 1], [1, 1]] - lam diag(1, 2)) = 2 lam^2 - 3 lam: roots 0, 3/2
+    s1 = SystemDef(["x1", "x2"], g_upper=[["1", "1"], ["1", "1"]])
+    s2 = SystemDef(["x1", "x2"], g_upper=[["1", "0"], ["0", "2"]])
+    rep = verify.pencil_regularity(s1, s2)
+    assert rep.regular
+    assert np.allclose(rep.roots, [0.0, 1.5], atol=1e-12)
+
+
+def test_pencil_flags_points_where_both_metrics_are_singular():
+    # g1 is singular at x1 = 0 only, where g2 = g1 is too: NaN roots there
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    s1 = SystemDef(["x1", "x2"], g_upper=[["x1", "0"], ["0", "1"]], box=box)
+    s2 = SystemDef(["x1", "x2"], g_upper=[["x1", "0"], ["0", "2"]], box=box)
+    rep = verify.pencil_regularity(s1, s2)
+    assert not rep.regular and rep.min_gap == 0.0
+    assert rep.witness[0] == 0.0
+    flagged = np.isnan(rep.roots).all(axis=1)
+    assert flagged.sum() == 1 and flagged[0]
+
+
 def test_pencil_dimension_mismatch():
     s1 = SystemDef(["x1", "x2"], g_upper=[["1", "0"], ["0", "2"]])
     s2 = SystemDef(["x1"], g_upper=[["1"]])
