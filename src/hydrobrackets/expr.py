@@ -19,6 +19,7 @@ batch; it is the one path by which the other modules evaluate expressions.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -223,7 +224,11 @@ def _tokenize(source):
             at = len(source) - len(rest)
             raise ExprSyntaxError(f"unexpected character {rest[0]!r}", at)
         if m.group("number") is not None:
-            tokens.append(("number", float(m.group("number")), m.start("number")))
+            text, at = m.group("number"), m.start("number")
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is not a finite float", at)
+            tokens.append(("number", value, at))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -590,7 +595,8 @@ def _wrap(e, minimum):
 
 
 def _format_number(v):
-    if v == int(v) and abs(v) < 1e16:
+    # folding can still make inf and nan, which print as their repr
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

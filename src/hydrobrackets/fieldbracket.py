@@ -3,7 +3,9 @@
 Fields live on a uniform grid over x in [0, 2*pi) with a power-of-two point
 count so spatial derivatives can be taken spectrally.  Functionals are
 integrals of pointwise densities in the field components, which keeps their
-variational derivatives exact.  On top of the evaluated bracket this module
+variational derivatives exact.  The bracket is the one the system declares:
+the local g and b terms and the ultralocal h term, each present when its
+coefficients are declared.  On top of the evaluated bracket this module
 provides the two operational bracket axioms as numbers: an antisymmetry
 residual comes out of `bracket` directly, and `jacobi_residual` measures the
 cyclic sum with one directional difference per term.
@@ -31,7 +33,7 @@ from .expr import as_expr, differentiate, evaluate_table
 from .system import SystemDef
 from .verify import write_csv
 
-DEFAULT_H_STEP = 1e-5
+H_STEP = 1e-5
 
 
 def _is_power_of_two(m):
@@ -97,23 +99,20 @@ def spectral_dx(values):
 class Functional:
     """Integral of a pointwise density over the periodic domain.
 
-    The density is an expression in the field component names (plus optional
-    numeric parameters); no x-derivatives appear, so the variational
-    derivative is the exact gradient of the density at each gridpoint.
+    The density is an expression in the field component names; no
+    x-derivatives appear, so the variational derivative is the exact
+    gradient of the density at each gridpoint.
     """
 
-    def __init__(self, density, coords, params=None):
+    def __init__(self, density, coords):
         self.coords = tuple(coords)
-        self.params = dict(params or {})
-        symbols = set(self.coords) | set(self.params)
-        self.density = as_expr(density, symbols, "density")
+        self.density = as_expr(density, self.coords, "density")
         self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
         self._density_table = np.array(self.density, dtype=object)
         self._gradient_table = np.array(self.gradient, dtype=object)
 
     def value(self, U: GridField) -> float:
-        dens = evaluate_table(self._density_table, self.coords, self.params,
-                              U.values.T)
+        dens = evaluate_table(self._density_table, self.coords, {}, U.values.T)
         return float(np.sum(dens) * U.dx)
 
     def variational(self, U: GridField):
@@ -123,7 +122,7 @@ class Functional:
     def _variational(self, values):
         """delta F / delta U of fields stacked as (..., N, M), same shape."""
         # the fields as points (..., M, N), component last
-        grad = evaluate_table(self._gradient_table, self.coords, self.params,
+        grad = evaluate_table(self._gradient_table, self.coords, {},
                               np.swapaxes(values, -1, -2))
         return np.ascontiguousarray(np.swapaxes(grad, -1, -2))
 
@@ -150,113 +149,93 @@ def _check_shapes(sys, values, xi):
             f"{values.shape[1:]}")
 
 
-def apply_bracket_operator(sys: SystemDef, U: GridField, xi, *, part="full",
-                           pencil_lambda=None) -> GridField:
-    """Apply the bracket's operator to a covector field.
+def apply_bracket_operator(sys: SystemDef, U: GridField, xi) -> GridField:
+    """Apply the declared bracket's operator to a covector array ``xi``.
 
-    A(xi)^n(x) = g^{nm}(U) d_x xi_m + b^{nm}_l(U) U^l_x xi_m + h^{nm}(U) xi_m.
+    A(xi)^n(x) = g^{nm}(U) d_x xi_m + b^{nm}_l(U) U^l_x xi_m + h^{nm}(U) xi_m,
 
-    ``part`` selects "full", the "local" g/b terms only, or the
-    "ultralocal" h term only; ``pencil_lambda`` instead evaluates the pencil
-    member local + lambda * ultralocal.  A system that declares none of
-    the selected part's coefficients is a ``ValueError``.
+    each term present when the system declares its coefficients.  A system
+    that declares neither ``g_upper`` nor ``h_ultra`` is a ``ValueError``.
     """
-    xi = xi.values if isinstance(xi, GridField) else np.asarray(xi, dtype=float)
-    return GridField(_operator(sys, U.values[None], xi[None], part, pencil_lambda)[0])
+    return GridField(_operator(sys, U.values[None],
+                               np.asarray(xi, dtype=float)[None])[0])
 
 
-def _operator(sys, values, xi, part, pencil_lambda):
+def _operator(sys, values, xi):
     """`apply_bracket_operator` on fields and covectors stacked as (B, N, M)."""
-    if part not in ("full", "local", "ultralocal"):
-        raise ValueError(f"unknown part {part!r}")
-    if pencil_lambda is not None and part != "full":
-        raise ValueError("pencil_lambda already selects both parts")
     _check_shapes(sys, values, xi)
-    use_local = part in ("full", "local") and sys.g_upper is not None
-    use_ultra = part in ("full", "ultralocal") and sys.h_ultra is not None
-    if not (use_local or use_ultra):
-        need = {"full": "g_upper or h_ultra", "local": "g_upper",
-                "ultralocal": "h_ultra"}[part]
-        raise ValueError(f"system declares no bracket for part {part!r} "
-                         f"(needs {need})")
-    ultra_weight = 1.0 if pencil_lambda is None else float(pencil_lambda)
+    if sys.g_upper is None and sys.h_ultra is None:
+        raise ValueError("system declares no bracket (needs g_upper or h_ultra)")
 
     batch, n, m = values.shape
     # (B*M, N) points; each column is a contiguous row of the (N, B*M) copy
     pts = np.moveaxis(values, 1, 0).reshape(n, batch * m).T
     out = np.zeros(values.shape)
-    if use_local:
+    if sys.g_upper is not None:
         g = tz.metric_upper_at(sys, pts).reshape(batch, m, n, n)
         out += np.einsum("bxnm,bmx->bnx", g, spectral_dx(xi))
         if sys.b is not None:
             b = tz.b_at(sys, pts).reshape(batch, m, n, n, n)
             out += np.einsum("bxnml,blx,bmx->bnx", b, spectral_dx(values), xi)
-    if use_ultra:
+    if sys.h_ultra is not None:
         h = tz.h_ultra_at(sys, pts).reshape(batch, m, n, n)
-        out += ultra_weight * np.einsum("bxnm,bmx->bnx", h, xi)
+        out += np.einsum("bxnm,bmx->bnx", h, xi)
     return out
 
 
-def _bracket(sys, F, G, values, dx, part, pencil_lambda):
+def _bracket(sys, F, G, values, dx):
     """`bracket` of fields stacked as (B, N, M), shape (B,)."""
-    a = _operator(sys, values, G._variational(values), part, pencil_lambda)
+    a = _operator(sys, values, G._variational(values))
     _require_finite(a)
     return np.sum((F._variational(values) * a).reshape(len(values), -1), axis=1) * dx
 
 
-def bracket(sys: SystemDef, F: Functional, G: Functional, U: GridField, *,
-            part="full", pencil_lambda=None) -> float:
+def bracket(sys: SystemDef, F: Functional, G: Functional, U: GridField) -> float:
     """{F, G}[U] = sum_i deltaF(x_i) . A(deltaG)(x_i) dx."""
-    return float(_bracket(sys, F, G, U.values[None], U.dx, part, pencil_lambda)[0])
+    return float(_bracket(sys, F, G, U.values[None], U.dx)[0])
 
 
-def antisymmetry_residual(sys, F, G, U, **kw) -> float:
-    return abs(bracket(sys, F, G, U, **kw) + bracket(sys, G, F, U, **kw))
+def antisymmetry_residual(sys, F, G, U) -> float:
+    return abs(bracket(sys, F, G, U) + bracket(sys, G, F, U))
 
 
-def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField, *,
-                     part="full", pencil_lambda=None) -> GridField:
+def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField) -> GridField:
     """U_t = A(deltaH), the quasilinear flow generated by H."""
-    return apply_bracket_operator(sys, U, H.variational(U), part=part,
-                                  pencil_lambda=pencil_lambda)
+    return apply_bracket_operator(sys, U, H.variational(U))
 
 
-def _cyclic_term(sys, Fa, Fb, Fc, U, h_step, kw):
+def _cyclic_term(sys, Fa, Fb, Fc, U):
     """{{Fa, Fb}, Fc} as the central difference of {Fa, Fb} along the flow
     of Fc, with the roundoff of that quotient."""
-    flow = hamiltonian_flow(sys, Fc, U, **kw).values
-    stack = U.values + np.multiply.outer([h_step, -h_step], flow)
+    flow = hamiltonian_flow(sys, Fc, U).values
+    stack = U.values + np.multiply.outer([H_STEP, -H_STEP], flow)
     _require_finite(stack)
-    up, down = _bracket(sys, Fa, Fb, stack, U.dx, **kw)
-    noise = np.finfo(float).eps / (2.0 * h_step) * max(1.0, abs(up), abs(down))
-    return float((up - down) / (2.0 * h_step)), float(noise)
+    up, down = _bracket(sys, Fa, Fb, stack, U.dx)
+    noise = np.finfo(float).eps / (2.0 * H_STEP) * max(1.0, abs(up), abs(down))
+    return float((up - down) / (2.0 * H_STEP)), float(noise)
 
 
 def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
-                    H: Functional, U: GridField, h_step: float = DEFAULT_H_STEP,
-                    *, part="full", pencil_lambda=None) -> float:
+                    H: Functional, U: GridField) -> float:
     """|{{F,G},H} + {{G,H},F} + {{H,F},G}| at the given field.
 
     Each term {{F,G},H} is the derivative of {F,G} along the flow
     v = A(delta H), taken as the central difference
-    ({F,G}[U + h v] - {F,G}[U - h v]) / (2 h) with h = ``h_step``, so a
+    ({F,G}[U + h v] - {F,G}[U - h v]) / (2 h) with h = ``H_STEP``, so a
     residual costs six brackets; everything else is exact on the grid.
     Emits `StepTooSmallWarning` when the cyclic sum is at or below ten times
     the roundoff of the three quotients, meaning the returned value is a
     floor rather than a resolved residual.
     """
-    if h_step <= 0:
-        raise ValueError("h_step must be positive")
-    kw = dict(part=part, pencil_lambda=pencil_lambda)
-    terms = [_cyclic_term(sys, F, G, H, U, h_step, kw),
-             _cyclic_term(sys, G, H, F, U, h_step, kw),
-             _cyclic_term(sys, H, F, G, U, h_step, kw)]
+    terms = [_cyclic_term(sys, F, G, H, U),
+             _cyclic_term(sys, G, H, F, U),
+             _cyclic_term(sys, H, F, G, U)]
     total = abs(sum(term for term, _ in terms))
     noise = sum(noise for _, noise in terms)
     if total <= 10.0 * noise:
         warnings.warn(
             f"Jacobi cyclic sum {total:.3e} is within the roundoff "
-            f"estimate {10.0 * noise:.3e} for h_step={h_step:g}; the value is "
+            f"estimate {10.0 * noise:.3e} for h_step={H_STEP:g}; the value is "
             "a floor, not a resolved residual",
             StepTooSmallWarning, stacklevel=2)
     return total

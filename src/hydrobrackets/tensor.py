@@ -44,6 +44,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateHyperbolicityWarning, SingularMetricError
+from .expr import Number
 # not called here: perfbench/selftest.py checks the tracer wraps tensor.evaluate
 from .expr import differentiate, evaluate, evaluate_table  # noqa: F401
 from .system import SystemDef
@@ -149,10 +150,14 @@ def point_at(pts, i):
     return tuple(float(v) for v in pts[int(i)])
 
 
-def _guarded_inverse(upper, pts):
+def _guarded_inverse(sys, upper, pts):
     dets = np.linalg.det(upper)
     bad = np.abs(dets) < DET_FLOOR
     if np.any(bad):
+        if all(isinstance(e, Number) and e.value == 0.0 for e in sys.g_upper.flat):
+            raise SingularMetricError(
+                "the declared g_upper is identically zero, so there is no local "
+                "bracket to classify; jacobi tests the ultralocal part")
         where = point_at(pts, np.argmax(bad))
         raise SingularMetricError(
             f"metric determinant below {DET_FLOOR:g} at {where}", where)
@@ -169,7 +174,7 @@ def metric_lower_at(sys: SystemDef, pts):
     """Inverse metric; `SingularMetricError` where ``|det g_upper|`` is below
     ``DET_FLOOR`` or its condition number is above ``COND_CEILING``."""
     pts = _points(sys, pts)
-    return _guarded_inverse(metric_upper_at(sys, pts), pts)
+    return _guarded_inverse(sys, metric_upper_at(sys, pts), pts)
 
 
 def _lower_d1(lower, upper_d1):
@@ -207,7 +212,7 @@ def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
         raise ValueError("system declares no metric")
     pts = _points(sys, pts)
     upper = table_at(sys, sys.g_upper, pts)
-    lower = _guarded_inverse(upper, pts)
+    lower = _guarded_inverse(sys, upper, pts)
     declared = sys.b is not None and not levi_civita
     if declared:
         # Gamma^n_{ml} = -g_{ms} b^{sn}_l

@@ -2,16 +2,20 @@
 
 Every public function and class of the modules below is listed with the
 parameters a caller may leave out or must name (defaults, keyword-only,
-``**kwargs``), in signature order.  A new option, or a new public name,
-fails `test_public_options_are_pinned` until it is added here on purpose,
-the way `test_cli.COMMAND_OPTIONS` pins the command-line options.
+``*args``, ``**kwargs``), in signature order.  A new option, or a new
+public name, fails `test_public_options_are_pinned` until it is added here
+on purpose, the way `test_cli.COMMAND_OPTIONS` pins the command-line
+options.
 """
 
 import inspect
 
-from hydrobrackets import fieldbracket, hodograph, system, tensor, verify
+from hydrobrackets import (
+    config, errors, expr, fieldbracket, hodograph, library, system, tensor, verify,
+)
 
-MODULES = (verify, hodograph, tensor, system, fieldbracket)
+MODULES = (verify, hodograph, tensor, system, fieldbracket, expr, config,
+           library, errors)
 
 PUBLIC_OPTIONS = {
     "verify.CheckResult": ("witness",),
@@ -68,23 +72,67 @@ PUBLIC_OPTIONS = {
                          "gamma", "params", "box", "name"),
     "system.halton_points": (),
     "system.sample_box": (),
-    "fieldbracket.Functional": ("params",),
+    "fieldbracket.Functional": (),
     "fieldbracket.GridField": (),
-    "fieldbracket.antisymmetry_residual": ("**kw",),
-    "fieldbracket.apply_bracket_operator": ("part", "pencil_lambda"),
-    "fieldbracket.bracket": ("part", "pencil_lambda"),
-    "fieldbracket.hamiltonian_flow": ("part", "pencil_lambda"),
-    "fieldbracket.jacobi_residual": ("h_step", "part", "pencil_lambda"),
+    "fieldbracket.antisymmetry_residual": (),
+    "fieldbracket.apply_bracket_operator": (),
+    "fieldbracket.bracket": (),
+    "fieldbracket.hamiltonian_flow": (),
+    "fieldbracket.jacobi_residual": (),
     "fieldbracket.load_grid_csv": (),
     "fieldbracket.random_polynomial_functional": ("degree", "seed"),
     "fieldbracket.save_grid_csv": (),
     "fieldbracket.spectral_dx": (),
+    "expr.Expr": (),
+    "expr.Number": (),
+    "expr.Name": (),
+    "expr.Neg": (),
+    "expr.Add": (),
+    "expr.Sub": (),
+    "expr.Mul": (),
+    "expr.Div": (),
+    "expr.Pow": (),
+    "expr.Call": (),
+    "expr.parse": (),
+    "expr.as_expr": (),
+    "expr.differentiate": (),
+    "expr.evaluate": (),
+    "expr.evaluate_table": (),
+    "expr.to_source": (),
+    "expr.free_names": (),
+    "config.LoadedConfig": (),
+    "config.validate": (),
+    "config.parse_document": (),
+    "config.load_config": (),
+    "library.names": (),
+    "library.path": (),
+    "library.load": (),
+    "errors.HydroBracketsError": ("*args",),
+    "errors.ExprSyntaxError": (),
+    "errors.UnknownSymbolError": ("position",),
+    "errors.DomainError": ("expr",),
+    "errors.SingularMetricError": ("point",),
+    "errors.ShapeMismatchError": ("*args",),
+    "errors.MissingAffinorsError": ("*args",),
+    "errors.MissingGammaError": ("*args",),
+    "errors.NotFlatError": ("residual",),
+    "errors.HyperbolicityViolationError": ("point",),
+    "errors.NonConvergenceError": ("*args",),
+    "errors.SeedOutOfBoxError": ("*args",),
+    "errors.RegionTooSmallError": ("*args",),
+    "errors.ConfigError": ("*args",),
+    "errors.StepTooSmallWarning": ("*args",),
+    "errors.DegenerateHyperbolicityWarning": ("*args",),
 }
 
 
 def _options(fn):
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except ValueError:      # an exception class that keeps BaseException's *args
+        return ("*args",)
     out = []
-    for p in inspect.signature(fn).parameters.values():
+    for p in params:
         if p.kind is p.VAR_POSITIONAL:
             out.append("*" + p.name)
         elif p.kind is p.VAR_KEYWORD:

@@ -157,6 +157,16 @@ def test_bad_expression_rejected(tmp_path):
     assert "expression" in str(err.value)
 
 
+def test_overflowing_number_literal_is_an_expression_error(tmp_path, capsys):
+    doc = {"name": "overflow", "N": 1, "coords": ["U1"],
+           "g_upper": [["log(U1 - 1e999)"]], "box": {"min": [1.0], "max": [2.0]}}
+    assert main(["check", write_config(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "number '1e999' is not a finite float (at position 9)" in captured.err
+
+
 def test_undeclared_name_rejected(tmp_path):
     doc = gaussian_warp_doc()
     doc["g_upper"][0][0] = "q"
@@ -488,13 +498,26 @@ def test_jacobi_ultralocal_bracket(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check", "flat-coords"])
+def test_zero_metric_has_no_local_bracket_to_classify(command, capsys):
+    # so3 declares g_upper = 0: its bracket is purely ultralocal, and
+    # `test_jacobi_ultralocal_bracket` passes it
+    assert main([command, "so3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the declared g_upper is identically zero, so there is no "
+        "local bracket to classify; jacobi tests the ultralocal part\n")
+
+
 @pytest.mark.parametrize("name", ["shallow_water", "epsilon3",
                                   "shallow_water_riemann"])
 def test_jacobi_without_a_bracket_is_an_error(name, capsys):
     assert main(["jacobi", name, "--grid", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: system declares no bracket for part 'full'" in captured.err
+    assert ("error: system declares no bracket (needs g_upper or h_ultra)"
+            in captured.err)
 
 
 # --- entry point ----------------------------------------------------------------

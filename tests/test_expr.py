@@ -110,6 +110,22 @@ def test_parse_scientific_notation():
     assert parse("2.5E+2", SYMS) == Number(250.0)
 
 
+def test_overflowing_literal_is_a_syntax_error():
+    # the same rule as config numbers: a literal must be a finite float
+    with pytest.raises(ExprSyntaxError,
+                       match="'1e999' is not a finite float") as err:
+        parse("log(a - 1e999)", SYMS)
+    assert err.value.position == 8
+    assert parse("1e-999", SYMS) == Number(0.0)      # underflow stays finite
+
+
+def test_non_finite_numbers_print():
+    # folding can still make them: 1e300*1e300 folds to inf
+    assert to_source(Number(1e300) * Number(1e300)) == "inf"
+    assert to_source(Number(-float("inf"))) == "-inf"
+    assert to_source(Number(float("nan"))) == "nan"
+
+
 # --- printing round trip -----------------------------------------------------
 
 def test_roundtrip_manual_corners():

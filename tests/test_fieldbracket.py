@@ -41,10 +41,10 @@ def cubic_triple(coords, seeds=(0, 1, 2), degree=3):
                  for s in seeds)
 
 
-def quiet_jacobi(sys, funcs, U, **kw):
+def quiet_jacobi(sys, funcs, U):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepTooSmallWarning)
-        return fb.jacobi_residual(sys, *funcs, U, **kw)
+        return fb.jacobi_residual(sys, *funcs, U)
 
 
 # --- grid and derivative basics -------------------------------------------------
@@ -107,46 +107,24 @@ def test_operator_shape_checks():
         fb.apply_bracket_operator(sys, smooth_field((0.0,), 32), np.zeros((1, 32)))
 
 
-def test_operator_part_selection_and_pencil():
-    sys = so3_system()
-    U = smooth_field((0.4, -0.2, 0.8), 32, seed=5)
-    xi = np.tile(np.array([[0.3], [-0.2], [0.5]]), (1, 32))
-    full = fb.apply_bracket_operator(sys, U, xi).values
-    local = fb.apply_bracket_operator(sys, U, xi, part="local").values
-    ultra = fb.apply_bracket_operator(sys, U, xi, part="ultralocal").values
-    assert np.max(np.abs(local)) < 1e-14
-    assert np.allclose(ultra, full, atol=1e-14)
-    pencil = fb.apply_bracket_operator(sys, U, xi, pencil_lambda=2.0).values
-    assert np.allclose(pencil, local + 2.0 * ultra, atol=1e-13)
-    with pytest.raises(ValueError):
-        fb.apply_bracket_operator(sys, U, xi, part="nonsense")
-    with pytest.raises(ValueError):
-        fb.apply_bracket_operator(sys, U, xi, part="local", pencil_lambda=1.0)
-
-
 @pytest.mark.parametrize("sys", [
     shallow_water_system(), epsilon_system(), shallow_water_riemann_system()],
     ids=lambda s: s.name)
 def test_system_without_a_bracket_is_rejected(sys):
     U = smooth_field(sys.box.center, 16)
     F, G, H = cubic_triple(sys.coords)
-    with pytest.raises(ValueError, match="declares no bracket for part 'full'"):
+    with pytest.raises(ValueError,
+                       match=r"declares no bracket \(needs g_upper or h_ultra\)"):
         fb.bracket(sys, F, G, U)
     with pytest.raises(ValueError, match="declares no bracket"):
         fb.jacobi_residual(sys, F, G, H, U)
 
 
-def test_selected_part_needs_its_coefficients():
+def test_ultralocal_only_system_applies_its_h_term():
+    sys = SystemDef(["a", "b"], h_ultra=[["0", "a"], ["-a", "0"]])
     U = smooth_field((0.4, -0.2), 16)
-    xi = np.ones((2, 16))
-    with pytest.raises(ValueError, match=r"part 'ultralocal' \(needs h_ultra\)"):
-        fb.apply_bracket_operator(canonical_system(), U, xi, part="ultralocal")
-    ultra_only = SystemDef(["a", "b"], h_ultra=[["0", "a"], ["-a", "0"]])
-    with pytest.raises(ValueError, match=r"part 'local' \(needs g_upper\)"):
-        fb.apply_bracket_operator(ultra_only, U, xi, part="local")
-    full = fb.apply_bracket_operator(ultra_only, U, xi).values
-    assert np.array_equal(
-        full, fb.apply_bracket_operator(ultra_only, U, xi, part="ultralocal").values)
+    out = fb.apply_bracket_operator(sys, U, np.ones((2, 16))).values
+    assert np.array_equal(out, np.array([U.values[0], -U.values[0]]))
 
 
 # --- functionals -----------------------------------------------------------------
@@ -293,11 +271,10 @@ def test_jacobi_ultralocal_rotation_algebra():
     sys = so3_system()
     U = smooth_field((0.4, -0.2, 0.8), 32, seed=5)
     funcs = cubic_triple(sys.coords, degree=2)
-    assert quiet_jacobi(sys, funcs, U, part="ultralocal") < 1e-8
-    assert quiet_jacobi(sys, funcs, U, pencil_lambda=0.7) < 1e-8
+    assert quiet_jacobi(sys, funcs, U) < 1e-8
 
 
-def loop_inner_gradient(sys, fa, fb_, U, h_step, kw):
+def loop_inner_gradient(sys, fa, fb_, U, h_step):
     """Reference: one central quotient of two `bracket` calls per entry."""
     n, m = U.values.shape
     amp = h_step / U.dx
@@ -308,19 +285,15 @@ def loop_inner_gradient(sys, fa, fb_, U, h_step, kw):
             up[nu, i] += amp
             down = U.values.copy()
             down[nu, i] -= amp
-            out[nu, i] = (fb.bracket(sys, fa, fb_, fb.GridField(up), **kw)
-                          - fb.bracket(sys, fa, fb_, fb.GridField(down), **kw)
+            out[nu, i] = (fb.bracket(sys, fa, fb_, fb.GridField(up))
+                          - fb.bracket(sys, fa, fb_, fb.GridField(down))
                           ) / (2.0 * h_step)
     return out
 
 
 def gradient_cases():
-    so3_field = smooth_field((0.4, -0.2, 0.8), 32, seed=5)
-    return [(sys, U, dict(part="full", pencil_lambda=None))
-            for sys, U in library_cases()] + [
-        (so3_system(), so3_field, dict(part="ultralocal", pencil_lambda=None)),
-        (so3_system(), so3_field, dict(part="full", pencil_lambda=0.7)),
-    ]
+    return library_cases() + [
+        (so3_system(), smooth_field((0.4, -0.2, 0.8), 32, seed=5))]
 
 
 def test_cyclic_term_matches_per_perturbation_gradient():
@@ -329,13 +302,13 @@ def test_cyclic_term_matches_per_perturbation_gradient():
     # loop moves one entry by h/dx, far more than the flow moves any entry,
     # so it runs at a tenth of the step to keep its own truncation error
     # (2e-6 relative on the polar plane at the full step) below the bound
-    for sys, U, kw in gradient_cases():
+    for sys, U in gradient_cases():
         fa, fb_, fc = cubic_triple(sys.coords, degree=2)
-        flow = fb.hamiltonian_flow(sys, fc, U, **kw).values
+        flow = fb.hamiltonian_flow(sys, fc, U).values
         ref = float(np.sum(loop_inner_gradient(
-            sys, fa, fb_, U, fb.DEFAULT_H_STEP / 10, kw) * flow) * U.dx)
-        term, noise = fb._cyclic_term(sys, fa, fb_, fc, U, fb.DEFAULT_H_STEP, kw)
-        assert abs(term - ref) <= 1e-6 * abs(ref), (sys.name, kw)
+            sys, fa, fb_, U, fb.H_STEP / 10) * flow) * U.dx)
+        term, noise = fb._cyclic_term(sys, fa, fb_, fc, U)
+        assert abs(term - ref) <= 1e-6 * abs(ref), sys.name
         assert 0.0 < noise < 1e-6 * abs(ref)
 
 
@@ -357,24 +330,26 @@ def test_jacobi_residual_brackets_six_perturbed_fields(monkeypatch, m):
 
 
 def test_stacked_operator_and_variational_match_per_field():
-    for sys, U, kw in gradient_cases():
+    for sys, U in gradient_cases():
         f = fb.random_polynomial_functional(sys.coords, seed=60)
         rng = np.random.default_rng(61)
         stack = U.values + 0.01 * rng.normal(size=(5,) + U.values.shape)
         xi = f._variational(stack)
-        ops = fb._operator(sys, stack, xi, **kw)
+        ops = fb._operator(sys, stack, xi)
         for k, row in enumerate(stack):
             field = fb.GridField(row)
             assert np.array_equal(xi[k], f.variational(field))
             assert np.array_equal(ops[k], fb.apply_bracket_operator(
-                sys, field, xi[k], **kw).values)
+                sys, field, xi[k]).values)
 
 
 def test_jacobi_warns_when_step_too_small():
+    # a flat bracket's cyclic sum is resolved only down to the roundoff of
+    # the three quotients at ``H_STEP``
     sys = canonical_system()
     U = smooth_field((0.3, -0.2), 32, seed=1)
     with pytest.warns(StepTooSmallWarning):
-        fb.jacobi_residual(sys, *cubic_triple(sys.coords), U, 1e-13)
+        fb.jacobi_residual(sys, *cubic_triple(sys.coords), U)
 
 
 def test_antisymmetry_improves_with_grid_refinement():

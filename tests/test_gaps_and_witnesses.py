@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    hopf_system, shallow_water_riemann_system, so3_system, sphere_system,
+    hopf_system, shallow_water_riemann_system, sphere_system,
 )
 from hydrobrackets import cli, verify
 from hydrobrackets import hodograph as hg
@@ -28,15 +28,24 @@ BUILTIN = pathlib.Path(cli.__file__).resolve().parent / "builtin"
 
 # --- witness points --------------------------------------------------------------
 
-def test_cli_singular_metric_witness_prints_plain_floats(capsys):
-    assert cli.main(["check", "so3"]) == 1
+RANK_ONE = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+
+
+def test_cli_singular_metric_witness_prints_plain_floats(tmp_path, capsys):
+    # so3's box with a metric of rank one: singular at every sample, so the
+    # witness is the first one
+    doc = json.loads((BUILTIN / "so3.json").read_text())
+    doc["g_upper"] = RANK_ONE
+    path = tmp_path / "rank_one.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == ("error: metric determinant below 1e-300 at "
                    "(0.0, -0.33333333333333337, -0.6)\n")
 
 
 def test_singular_metric_error_point_is_plain_floats():
-    sys = so3_system()
+    sys = SystemDef(["U1", "U2", "U3"], g_upper=RANK_ONE)
     with pytest.raises(SingularMetricError) as info:
         tz.metric_lower_at(sys, np.array([[0.25, 0.5, -1.0]]))
     assert info.value.point == (0.25, 0.5, -1.0)
