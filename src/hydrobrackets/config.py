@@ -248,9 +248,8 @@ def parse_document(doc: dict) -> LoadedConfig:
             params=doc.get("params"),
             box=Box(tuple(box["min"]), tuple(box["max"])),
             name=doc["name"])
-    except ExprSyntaxError as err:
-        raise ConfigError(f"expression error at position {err.position}: {err}") from err
-    except UnknownSymbolError as err:
+    except (ExprSyntaxError, UnknownSymbolError) as err:
+        # the error's own text names the position
         raise ConfigError(f"expression error: {err}") from err
     except ValueError as err:
         raise ConfigError(f"config invalid: {err}") from err

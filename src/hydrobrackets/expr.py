@@ -14,6 +14,9 @@ friends), which keeps repeated differentiation from blowing up the tree.
 ``parse`` itself never folds: the tree mirrors the source.
 `evaluate_table` evaluates an object array of expressions over a point
 batch; it is the one path by which the other modules evaluate expressions.
+`compile_table` value-numbers a table once, so that `evaluate_table`
+evaluates each subexpression its entries share once per batch; `tensor`
+compiles the tables a system owns.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import functools
 import math
 import numbers
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,7 @@ from .errors import DomainError, ExprSyntaxError, UnknownSymbolError
 __all__ = [
     "Expr", "Number", "Name", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "FUNCTIONS", "parse", "as_expr", "differentiate", "evaluate",
-    "evaluate_table", "to_source", "free_names",
+    "evaluate_table", "compile_table", "to_source", "free_names",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
@@ -189,9 +193,14 @@ def _fold_pow(base, expo):
     if _is_const(base, 1.0):
         return Number(1.0)
     if _is_const(base) and _is_const(expo):
-        e = expo.value
-        if base.value > 0.0 or e == int(e):
-            return Number(float(np.power(base.value, e)))
+        b, e = base.value, expo.value
+        if b > 0.0 or float(e).is_integer():
+            # a power that is not a finite float (0^-1, 2^2000) stays a Pow,
+            # so evaluation reports it as it does any other
+            with np.errstate(all="ignore"):
+                value = float(np.power(b, e))
+            if math.isfinite(value):
+                return Number(value)
     return Pow(base, expo)
 
 
@@ -561,23 +570,148 @@ def evaluate_table(exprs, names, params, pts) -> np.ndarray:
 
     ``pts[..., i]`` is the value of ``names[i]`` and ``params`` maps the
     other free symbols; the result has shape ``pts.shape[:-1] + exprs.shape``.
-    An expression object held by several entries is evaluated once, constant
-    entries are broadcast over the batch, and `DomainError` propagates as
-    from `evaluate`.  Overflow and invalid operations give inf and nan
-    without numpy warnings: the checks that read the values report them as
-    non-finite residuals with a witness.
+    ``exprs`` may also be its `compile_table` form, which evaluates each
+    shared subexpression once and frees it after its last use; an object
+    array is evaluated entry by entry, an expression object held by several
+    entries once.  Both take every value from the same `evaluate`
+    arithmetic, so they agree bitwise.  Constant entries are broadcast over
+    the batch.  `DomainError` propagates as from `evaluate`: a compiled
+    table that raises is evaluated again entry by entry, so the error names
+    the subexpression the entry-wise walk meets first.  Overflow and
+    invalid operations give inf and nan without numpy warnings: the checks
+    that read the values report them as non-finite residuals with a
+    witness.
     """
     pts = np.asarray(pts, dtype=float)
     env = dict(params)
     env.update((c, pts[..., i]) for i, c in enumerate(names))
     batch = pts.shape[:-1]
-    out = np.empty(batch + (exprs.size,))
-    first = {}
+    if isinstance(exprs, _Compiled):
+        try:
+            return _run(exprs.steps, exprs.exprs.shape, dict(env), batch)
+        except DomainError:
+            exprs = exprs.exprs
+    return _run(_entry_steps(exprs), exprs.shape, env, batch)
+
+
+def _entry_steps(exprs):
+    """Steps of an uncompiled table: one per distinct entry object."""
+    steps, first = [], {}
+    for k, e in enumerate(exprs.flat):
+        at = first.setdefault(id(e), len(steps))
+        if at == len(steps):
+            steps.append((e, None, [k], ()))
+        else:
+            steps[at][2].append(k)
+    return steps
+
+
+def _run(steps, shape, env, batch):
+    """The one executor: each step ``(expr, temporary, columns, dead)``
+    evaluates ``expr``, binds it to ``temporary`` (if any), writes it to the
+    flat entry ``columns`` and drops the ``dead`` temporaries."""
+    out = np.empty(batch + (math.prod(shape),))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, e in enumerate(exprs.flat):
-            seen = first.setdefault(id(e), k)
-            out[..., k] = out[..., seen] if seen != k else evaluate(e, env)
-    return out.reshape(batch + exprs.shape)
+        for e, temporary, columns, dead in steps:
+            value = evaluate(e, env)
+            if temporary is not None:
+                env[temporary] = value
+            for k in columns:
+                out[..., k] = value
+            for name in dead:
+                del env[name]
+    return out.reshape(batch + shape)
+
+
+@dataclass(frozen=True, eq=False)
+class _Compiled:
+    """An object array of expressions and the steps `compile_table` made."""
+
+    exprs: np.ndarray
+    steps: list
+
+
+def _children(e):
+    if isinstance(e, (Neg, Call)):
+        return (e.operand,)
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    if isinstance(e, (Number, Name)):
+        return ()
+    return (e.left, e.right)
+
+
+def _label(e):
+    if isinstance(e, Number):
+        # the bit pattern, so 0.0 and -0.0 (or two NaNs) are never merged
+        v = e.value
+        return type(v), struct.pack("<d", v) if isinstance(v, float) else v
+    if isinstance(e, Name):
+        return e.name
+    if isinstance(e, Call):
+        return e.func
+    return None
+
+
+def _rebuild(e, kids):
+    if isinstance(e, Call):
+        return Call(e.func, *kids)
+    return type(e)(*kids)
+
+
+def _number(e, seen, keys, nodes):
+    """Value number of ``e``; ``nodes[vn]`` is ``(node, child numbers)``."""
+    vn = seen.get(id(e))
+    if vn is None:
+        child = tuple(_number(c, seen, keys, nodes) for c in _children(e))
+        vn = seen[id(e)] = keys.setdefault((type(e), _label(e)) + child, len(nodes))
+        if vn == len(nodes):
+            nodes.append((e, child))
+    return vn
+
+
+def compile_table(exprs):
+    """Hoist the subexpressions the entries of ``exprs`` share (value numbering).
+
+    Nodes are numbered bottom-up, two nodes sharing a number when they have
+    the same type, function or name and the same child numbers; a `Number`
+    is keyed by its bit pattern.  Every non-leaf subexpression used more
+    than once becomes a temporary named ``#k``, which no parsed symbol can
+    be, and the entries are rewritten over the temporaries.  The steps run
+    in post-order, so each temporary is computed just before its first use.
+    Returns the form `evaluate_table` takes in place of ``exprs``.
+    """
+    seen, keys, nodes, columns = {}, {}, [], {}
+    for k, e in enumerate(exprs.flat):
+        columns.setdefault(_number(e, seen, keys, nodes), []).append(k)
+    uses = [0] * len(nodes)
+    for _, child in nodes:
+        for c in child:
+            uses[c] += 1
+    for vn in columns:
+        uses[vn] += 1
+    # forms[vn]: the node over the temporaries; reads[vn]: the ones it reads
+    temps, forms, reads, steps, last = {}, [], [], [], {}
+    for vn, (e, child) in enumerate(nodes):
+        read = []
+        if child:
+            for c in child:
+                read += [temps[c]] if c in temps else reads[c]
+            e = _rebuild(e, [Name(temps[c]) if c in temps else forms[c]
+                             for c in child])
+        forms.append(e)
+        reads.append(read)
+        name = f"#{len(temps)}" if child and uses[vn] > 1 else None
+        if name is not None:
+            temps[vn] = name
+        if name is not None or vn in columns:
+            for r in read + [name]:
+                last[r] = len(steps)
+            steps.append((e, name, columns.get(vn, ()), []))
+    last.pop(None, None)
+    for name, at in last.items():
+        steps[at][3].append(name)
+    return _Compiled(exprs, steps)
 
 
 # --- printing --------------------------------------------------------------

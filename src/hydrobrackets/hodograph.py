@@ -67,8 +67,10 @@ def _check_hyperbolicity(sys, pts, gap_tol):
 
 
 def _values_at(sys, exprs, pts):
-    """Values of a sequence of expressions at a point batch, shape (P, len)."""
-    return tz.table_at(sys, np.array(exprs, dtype=object), pts)
+    """Values of a sequence of expressions at a point batch, shape (P, len).
+
+    The array is built per call, so it is evaluated uncompiled."""
+    return evaluate_table(np.array(exprs, dtype=object), sys.coords, sys.params, pts)
 
 
 def _a_table(sys: SystemDef):

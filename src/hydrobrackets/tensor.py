@@ -12,7 +12,10 @@ shape ``(N,)`` is a batch of one.  `table_at` and `table_d1_at` evaluate
 any object array of expressions, or its exact first derivatives, over a
 point batch; other modules use them for their own tables.  `table_at`
 delegates to `expr.evaluate_table`, and so evaluates every table here, the
-geometry pass's included.
+geometry pass's included.  Each table a system owns (a declared field, or
+a derivative table built from one) is compiled once per system with
+`expr.compile_table`, so a subexpression its entries share, such as the
+conformal factor of a diagonal metric, is evaluated once per batch.
 
 Geometry pass: the metric-derived tensors come from one evaluation per
 point batch (`_geometry`).  It evaluates the ``g_upper`` table once,
@@ -44,7 +47,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateHyperbolicityWarning, SingularMetricError
-from .expr import Number
+from .expr import Number, compile_table
 # not called here: perfbench/selftest.py checks the tracer wraps tensor.evaluate
 from .expr import differentiate, evaluate, evaluate_table  # noqa: F401
 from .system import SystemDef
@@ -81,7 +84,7 @@ def _d2_table(sys: SystemDef, exprs):
     """Object array of ``d^2 exprs / dU^r dU^q``, two leading coordinate axes.
 
     Mixed partials commute, so the ``(q, r)`` entry is the same expression
-    object as the ``(r, q)`` one and `expr.evaluate_table` evaluates it once.
+    object as the ``(r, q)`` one.
     """
     def build():
         d1 = _d1_table(sys, exprs)
@@ -105,11 +108,17 @@ def _points(sys, pts):
 def table_at(sys: SystemDef, exprs, pts):
     """Values of an object array of expressions over a point batch.
 
-    Returns shape ``(P,) + exprs.shape``; `expr.evaluate_table` evaluates
-    each distinct entry once and broadcasts constant entries.
+    Returns shape ``(P,) + exprs.shape``.  The table is compiled once per
+    system and expression array (`expr.compile_table`), so each
+    subexpression its entries share is evaluated once per batch.  The memo
+    is keyed by identity, as for `table_d1_at`: pass an array the caller
+    keeps (a system field), and evaluate one-off arrays with
+    `expr.evaluate_table`.
     """
     pts = _points(sys, pts)
-    return evaluate_table(exprs, sys.coords, sys.params, pts)
+    compiled = _memo(sys, ("compiled", id(exprs)),
+                     lambda: (exprs, compile_table(exprs)))[1]
+    return evaluate_table(compiled, sys.coords, sys.params, pts)
 
 
 def table_d1_at(sys: SystemDef, exprs, pts):

@@ -98,6 +98,7 @@ PUBLIC_OPTIONS = {
     "expr.differentiate": (),
     "expr.evaluate": (),
     "expr.evaluate_table": (),
+    "expr.compile_table": (),
     "expr.to_source": (),
     "expr.free_names": (),
     "config.LoadedConfig": (),

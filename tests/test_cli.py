@@ -164,7 +164,9 @@ def test_overflowing_number_literal_is_an_expression_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert "number '1e999' is not a finite float (at position 9)" in captured.err
+    assert captured.err.endswith(": expression error: number '1e999' is not a "
+                                 "finite float (at position 9)\n")
+    assert captured.err.count("position") == 1
 
 
 def test_undeclared_name_rejected(tmp_path):

@@ -169,3 +169,17 @@ def test_builtin_configs_pass_both(name):
 ])
 def test_edge_documents_get_the_oracle_verdict_and_path(doc):
     assert_same_verdict(doc)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("log(U1 - 1e999)", "number '1e999' is not a finite float (at position 9)"),
+    ("1 + q", "unknown symbol 'q' (at position 4)"),
+    ("exp(-2*U1^", "expected a number, name or '(', found end of input "
+                   "(at position 10)"),
+])
+def test_expression_errors_name_their_position_once(entry, message):
+    doc = {"name": "x", "coords": ["U1"], "g_upper": [[entry]],
+           "box": {"min": [1.0], "max": [2.0]}}
+    with pytest.raises(ConfigError) as err:
+        config.parse_document(doc)
+    assert str(err.value) == f"expression error: {message}"

@@ -5,23 +5,32 @@ as oracles: the per-entry `np.ndindex` table loop of `tensor`, the
 per-gradient `evaluate` loop of `Functional`, and the scalar closed-form
 `CommutingFlow.w_at` / `dw_at`.  The new path must agree with them
 bitwise, not just to rounding, because it performs the same `evaluate`
-calls on the same values.
+arithmetic on the same values; a compiled table (`expr.compile_table`,
+which `tensor.table_at` uses for a system's tables) only evaluates each
+shared subexpression once.
 """
 
 import ast
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     epsilon_system, hopf_system, shallow_water_riemann_system, sphere_system,
 )
-from hydrobrackets import expr, library
+from hydrobrackets import expr, library, verify
 from hydrobrackets import fieldbracket as fb
 from hydrobrackets import hodograph as hg
 from hydrobrackets import tensor as tz
-from hydrobrackets.expr import differentiate, evaluate, evaluate_table, parse
+from hydrobrackets.errors import DomainError
+from hydrobrackets.expr import (
+    FUNCTIONS, Add, Call, Div, Mul, Name, Neg, Number, Pow, Sub,
+    compile_table, differentiate, evaluate, evaluate_table, parse,
+)
 from hydrobrackets.system import Box, SystemDef, sample_box
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hydrobrackets"
@@ -159,30 +168,187 @@ def test_constant_entries_broadcast_over_the_batch():
     assert got.tolist() == [[2.0, 1.0], [2.0, 3.0], [2.0, 5.0]]
 
 
-def counting_evaluate(monkeypatch):
-    calls = []
-    original = expr.evaluate
+def counting_operator_nodes(monkeypatch):
+    """Every non-leaf node `expr._eval` evaluates from now on."""
+    seen = []
+    original = expr._eval
 
     def counted(e, env):
-        calls.append(e)
+        if not isinstance(e, (Number, Name)):
+            seen.append(e)
         return original(e, env)
-    monkeypatch.setattr(expr, "evaluate", counted)
-    return calls
+    monkeypatch.setattr(expr, "_eval", counted)
+    return seen
+
+
+def structure(e, keys):
+    """Structural key of ``e``, numbers by their bits; collects in ``keys``
+    the key of every non-leaf subtree."""
+    if isinstance(e, Number):
+        return "n", np.float64(e.value).tobytes()
+    if isinstance(e, Name):
+        return "s", e.name
+    key = (type(e).__name__,) + tuple(
+        structure(v, keys) if isinstance(v, expr.Expr) else v
+        for v in (getattr(e, f) for f in e.__dataclass_fields__))
+    keys.add(key)
+    return key
 
 
 @pytest.mark.parametrize("sys", [sphere_system(), generated_metric(3, 0),
                                  generated_metric(4, 1)], ids=lambda s: s.name)
-def test_second_derivative_table_costs_one_call_per_distinct_entry(sys, monkeypatch):
+def test_second_derivative_table_evaluates_each_value_number_once(sys, monkeypatch):
     d2 = tz._d2_table(sys, sys.g_upper)
-    distinct = {id(e) for e in d2.flat}
+    keys = set()
+    for e in {id(e): e for e in d2.flat}.values():
+        structure(e, keys)
     pts = sample_box(sys.box, 16)
-    calls = counting_evaluate(monkeypatch)
+    seen = counting_operator_nodes(monkeypatch)
+    evaluate_table(d2, sys.coords, sys.params, pts)
+    walked = len(seen)
+    seen.clear()
     tz.table_at(sys, d2, pts)
-    assert len(calls) == len(distinct)
-    assert {id(e) for e in calls} == distinct
+    assert len(seen) == len(keys)
+    assert walked >= len(keys)
     # mixed partials share one expression object
     n = sys.N
-    assert len(distinct) <= d2.size - (n * (n - 1) // 2) * sys.g_upper.size
+    assert len({id(e) for e in d2.flat}) <= d2.size - (n * (n - 1) // 2) * sys.g_upper.size
+
+
+def counting_compiles(monkeypatch):
+    tables = []
+    original = tz.compile_table
+
+    def counted(exprs):
+        tables.append(exprs)
+        return original(exprs)
+    monkeypatch.setattr(tz, "compile_table", counted)
+    return tables
+
+
+def test_a_system_table_is_compiled_once(monkeypatch):
+    tables = counting_compiles(monkeypatch)
+    sys = generated_metric(3, 0)
+    verify.classify(sys)
+    # g_upper and its first and second derivative tables
+    assert len(tables) == 3
+    verify.classify(sys, samples=256)
+    tz.riemann_raised_at(sys, sample_box(sys.box, 5))
+    assert len(tables) == 3
+
+
+def test_per_call_tables_are_never_compiled(monkeypatch):
+    """Tables built per call (functionals, flows, hodograph's one-off
+    arrays) keep the entry-wise walk, so a repeated call compiles nothing."""
+    sys = library.load("polar_plane").system
+    F, G, H = (fb.random_polynomial_functional(sys.coords, seed=k) for k in range(3))
+    U = fb.GridField(np.stack([1.5 + 0.3 * np.sin(np.linspace(0, 6.2, 16)),
+                               0.2 * np.cos(np.linspace(0, 6.2, 16))]))
+    diag = epsilon_system()
+    riemann = shallow_water_riemann_system()
+    calls = [
+        lambda: fb.jacobi_residual(sys, F, G, H, U),
+        lambda: hg.semi_hamiltonian_check(diag),
+        lambda: hg.integrate_commuting_flow(riemann, "R1^2", "R2^2 + R1",
+                                            resolution=8, basepoint=(1.5, 3.5)),
+    ]
+    for call in calls:
+        call()
+    tables = counting_compiles(monkeypatch)
+    for call in calls:
+        call()
+    assert tables == []
+
+
+# --- compiled tables against the entry-wise walk -----------------------------------
+
+LEAVES = st.one_of(
+    st.sampled_from([Name("x"), Name("y")]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 3.0, math.nan, -math.nan,
+                     math.inf, -math.inf]).map(Number))
+
+
+def _grow(kids):
+    binary = st.sampled_from([Add, Sub, Mul, Div, Pow])
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), binary, kids, kids),
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids))
+
+
+TREES = st.recursive(LEAVES, _grow, max_leaves=6)
+
+
+@st.composite
+def shared_tables(draw):
+    """Object arrays whose entries share subtrees, as objects and as copies."""
+    pool = draw(st.lists(TREES, min_size=1, max_size=4))
+    part = st.sampled_from(pool)
+    entry = st.one_of(
+        part, TREES,
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Mul, Div, Pow]),
+                  part, part),
+        st.builds(Call, st.sampled_from(FUNCTIONS), part))
+    entries = draw(st.lists(entry, min_size=1, max_size=8))
+    table = np.empty(len(entries), dtype=object)
+    table[:] = entries
+    if len(entries) % 2 == 0 and draw(st.booleans()):
+        table = table.reshape(2, -1)
+    return table
+
+
+POINTS = st.lists(st.tuples(*[st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])] * 2),
+                  min_size=1, max_size=4)
+
+
+def entrywise(table, pts):
+    """Per-entry `evaluate` loop: the values, or the first `DomainError`."""
+    env = {"x": pts[:, 0], "y": pts[:, 1]}
+    out = np.empty((len(pts), table.size))
+    try:
+        with np.errstate(all="ignore"):
+            for k, e in enumerate(table.flat):
+                out[:, k] = evaluate(e, env)
+    except DomainError as err:
+        return err
+    return out.reshape((len(pts),) + table.shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shared_tables(), POINTS)
+def test_compiled_tables_match_the_entrywise_walk(table, points):
+    pts = np.array(points)
+    want = entrywise(table, pts)
+    compiled = compile_table(table)
+    for form in (compiled, table):
+        if isinstance(want, DomainError):
+            with pytest.raises(DomainError) as err:
+                evaluate_table(form, ["x", "y"], {}, pts)
+            assert str(err.value) == str(want)
+            assert err.value.expr == want.expr
+        else:
+            assert_bitwise(evaluate_table(form, ["x", "y"], {}, pts), want)
+
+
+def test_domain_error_names_the_declared_subexpression():
+    # x - 1 is shared, so the compiled table reads it as a temporary
+    table = np.array([parse(s, ["x"]) for s in ("1/(x - 1)", "log(x - 1)")],
+                     dtype=object)
+    pts = np.array([[2.0], [0.5]])
+    with pytest.raises(DomainError) as err:
+        evaluate_table(compile_table(table), ["x"], {}, pts)
+    assert str(err.value) == "log of non-positive value in 'log(x - 1)'"
+    assert err.value.expr == table[1]
+
+
+def test_signed_zeros_and_nans_are_never_merged():
+    table = np.array([Neg(Number(0.0)), Neg(Number(-0.0)), Neg(Number(math.nan)),
+                      Neg(Number(-math.nan)), Add(Neg(Number(0.0)), Name("x"))],
+                     dtype=object)
+    pts = np.array([[-0.0, 0.0], [1.0, 0.0]])
+    got = evaluate_table(compile_table(table), ["x", "y"], {}, pts)
+    assert_bitwise(got, entrywise(table, pts))
+    assert np.signbit(got[0]).tolist() == [True, False, True, False, True]
 
 
 # --- functionals -----------------------------------------------------------------

@@ -250,6 +250,18 @@ def test_fold_identities():
     assert -(-x) == x
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_constant_power_that_is_not_a_finite_float_stays_unfolded():
+    # the power rule builds 0 * 0^-1, which once folded 0^-1 to inf and warned
+    assert differentiate(parse("0^0", SYMS), "x") == Number(0.0)
+    for base, expo in ((0.0, -1.0), (-0.0, -3.0), (2.0, 2000.0)):
+        assert Number(base) ** Number(expo) == Pow(Number(base), Number(expo))
+    with pytest.raises(DomainError, match="power outside domain"):
+        evaluate(Number(0.0) ** -1, {})
+    assert Number(-2.0) ** 3 == Number(-8.0)
+    assert Number(4.0) ** -0.5 == Number(0.5)
+
+
 # --- evaluation ---------------------------------------------------------------
 
 def test_evaluate_scalar():
