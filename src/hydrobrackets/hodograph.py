@@ -4,9 +4,10 @@ Three stages: the compatibility check on the characteristic velocities
 (`semi_hamiltonian_check`), construction of a commuting flow w(R), either
 user-supplied in closed form or integrated for two-component systems by a
 Goursat march swept by anti-diagonals (`integrate_commuting_flow`), and the
-algebraic solve w^nu(R) = t v^nu(R) + x per spacetime gridpoint, a time row
-at a time (`hodograph_solve`), with an independent finite-difference
-residual audit (`verify_solution`).
+algebraic solve w^nu(R) = t v^nu(R) + x per spacetime gridpoint, one
+Newton batch per time row, row 0 from the seed and every later row from
+the row before, with a march in x as the fallback (`hodograph_solve`), and
+an independent finite-difference residual audit (`verify_solution`).
 
 Closed-form flows differentiate exactly; grid-sampled flows interpolate
 with bicubic Hermite patches, whose interpolation error is the dominant
@@ -387,13 +388,16 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
     # the cell solve is singular where 1 + beta + gamma vanishes, which
     # depends on a12/a21 alone: check first, in column order per quadrant
     for sx, sy, ii, jj in quadrants:
-        h1 = r1[ii] - r1[ii - sx]
-        for j in jj:
-            det = 1.0 + 0.5 * (r2[j] - r2[j - sy]) * a12[ii, j] + 0.5 * h1 * a21[ii, j]
-            bad = np.flatnonzero(np.abs(det) < 1e-12)
-            if bad.size:
-                raise NonConvergenceError(
-                    f"singular cell solve at grid index ({ii[bad[0]]}, {j})")
+        h1 = (r1[ii] - r1[ii - sx])[None, :]
+        h2 = (r2[jj] - r2[jj - sy])[:, None]
+        cells = np.ix_(jj, ii)
+        # [j, i], so the first bad cell in C order is the first in column order
+        det = 1.0 + 0.5 * h2 * a12.T[cells] + 0.5 * h1 * a21.T[cells]
+        bad = np.argwhere(np.abs(det) < 1e-12)
+        if bad.size:
+            j, i = bad[0]
+            raise NonConvergenceError(
+                f"singular cell solve at grid index ({ii[i]}, {jj[j]})")
     # a cell needs its predecessors in i and in j, so the cells at one
     # step distance a + b from the boundary cross are independent
     for sx, sy, ii, jj in quadrants:
@@ -577,15 +581,19 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
     """Solve w^nu(R) = t v^nu(R) + x on a spacetime grid by damped Newton.
 
     Each point runs its own damped Newton, with at most ``NEWTON_MAX_ITER``
-    iterations.  Rows are solved as batches: in row k > 0 the points whose
-    row k-1 neighbour converged start from it and are solved together.
-    The first row, and every point left over, is marched in x, warm
-    started from the last converged point in raster order: its left
-    neighbour when that converged, the seed before any did.  R must stay in
-    the box of a sampled flow, else in the system's box.  Diverged points
-    are flagged, not fatal: characteristics may focus inside the window,
-    and a point whose Newton trials leave the expressions' domain
-    (`DomainError`) is flagged the same way.
+    iterations.  Each row is solved as one batch: in row 0 every point
+    starts from the seed, in row k > 0 the points whose row k-1 neighbour
+    converged start from it.  The fallback is a march in x, warm started
+    from the last converged point in raster order (its left neighbour when
+    that converged, the seed before any did): it solves the points of row
+    k > 0 that no batch started, and re-solves the row 0 points that the
+    seed start left unconverged once that start is no longer the seed.  R
+    must stay in the box of a sampled flow, else in the system's box.
+    Diverged points are flagged, not fatal: characteristics may focus
+    inside the window, and a point whose Newton trials leave the
+    expressions' domain (`DomainError`) is flagged the same way.  Where
+    the box holds more than one root, a row 0 point takes the one its
+    Newton reaches from the seed.
 
     Raises
     ------
@@ -609,16 +617,28 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
     rr = np.empty(shape + (sys.N,))
     res = np.empty(shape)
     conv = np.zeros(shape, dtype=bool)
-    last_good = np.array(seed, dtype=float)
+    seed = np.array(seed)
+    # the last converged point in raster order; the seed before any did
+    last_good = seed
     for k, t in enumerate(ts):
-        done = conv[k - 1] if k > 0 else np.zeros(nx, dtype=bool)
-        idx = np.flatnonzero(done)
+        # row 0 starts every point from the seed, row k > 0 the points whose
+        # row k-1 neighbour converged, from that neighbour
+        if k == 0:
+            batched = np.ones(nx, dtype=bool)
+            starts = np.broadcast_to(seed, (nx, sys.N))
+        else:
+            batched = conv[k - 1]
+            starts = rr[k - 1, batched]
+        idx = np.flatnonzero(batched)
         if idx.size:
             rr[k, idx], res[k, idx], conv[k, idx] = _newton_batch(
-                xs[idx], t, rr[k - 1, idx], sys, flow, box, newton_tol)
-        # last_good is the left neighbour whenever that one converged
+                xs[idx], t, starts, sys, flow, box, newton_tol)
+        # the fallback: points the batch left out, and the row 0 points it
+        # left unconverged once their x-march start is no longer the seed
+        # they already failed from
+        march = ~batched if k > 0 else ~conv[0]
         for i in range(nx):
-            if not done[i]:
+            if march[i] and (k > 0 or last_good is not seed):
                 one = slice(i, i + 1)
                 rr[k, one], res[k, one], conv[k, one] = _newton_batch(
                     xs[one], t, last_good[None, :], sys, flow, box, newton_tol)

@@ -170,13 +170,21 @@ def _guarded_inverse(sys, upper, pts):
         where = point_at(pts, np.argmax(bad))
         raise SingularMetricError(
             f"metric determinant below {DET_FLOOR:g} at {where}", where)
-    conds = np.linalg.cond(upper)
-    bad = ~(conds < COND_CEILING)
-    if np.any(bad):
-        where = point_at(pts, np.argmax(bad))
-        raise SingularMetricError(
-            f"metric condition number above {COND_CEILING:g} at {where}", where)
-    return np.linalg.inv(upper)
+    # det and inv factorize alike, so no matrix left here is singular to inv
+    lower = np.linalg.inv(upper)
+    # ||g||_F ||g^-1||_F is never below the 2-norm condition number, so a
+    # point whose bound is far below the ceiling needs no SVD; an overflowing
+    # or NaN bound sends its point to the SVD
+    with np.errstate(all="ignore"):
+        bound = np.linalg.norm(upper, axis=(1, 2)) * np.linalg.norm(lower, axis=(1, 2))
+    check = np.flatnonzero(~(bound < COND_CEILING / 100))
+    if check.size:
+        bad = ~(np.linalg.cond(upper[check]) < COND_CEILING)
+        if np.any(bad):
+            where = point_at(pts, check[np.argmax(bad)])
+            raise SingularMetricError(
+                f"metric condition number above {COND_CEILING:g} at {where}", where)
+    return lower
 
 
 def metric_lower_at(sys: SystemDef, pts):

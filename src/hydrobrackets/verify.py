@@ -58,9 +58,20 @@ def json_text(data) -> str:
 
 def write_csv(path, header, columns):
     """CSV of every table ``--out`` file: one column per array, full
-    precision."""
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
-               comments="", fmt="%.17e")
+    precision, the bytes of ``np.savetxt(fmt="%.17e", delimiter=",")``.
+
+    Each distinct value of a column is formatted once; values are told
+    apart by bit pattern, so ``-0.0`` and every NaN payload keep their own
+    text."""
+    texts = []
+    for col in np.column_stack(columns).astype(float, copy=False).T:
+        bits, where = np.unique(col.view(np.int64), return_inverse=True)
+        text = np.array(["%.17e" % v for v in bits.view(np.float64)], dtype=object)
+        texts.append(text[where])
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(header + "\n")
+        fh.write("".join(",".join(row) + "\n" for row in zip(*texts)))
 
 
 def point_list(point):

@@ -264,7 +264,7 @@ def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
     (["flat-coords", "polar_plane", "--grid", "8"],
      "4bfbabe60a4172db0925760288f2beac51ca7919be33ca7a7d8f78df484beebd"),
     (["hodograph", "hopf"],
-     "db439666189196289d5556b2290d4e3c7353589e9916bf8b44f56db1f82c553b"),
+     "bd477c009a58a2558df37a3e4db6cf1f56e113b743692489af43e56e2f465bd2"),
 ])
 def test_out_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "table.csv"

@@ -1,9 +1,9 @@
 """The batched hodograph solve and the anti-diagonal Goursat march.
 
 The oracles are the earlier scalar implementations, frozen here: one damped
-Newton per spacetime point in raster order, and the cell-by-cell double
-loop of the march.  The batched code keeps every point's arithmetic, so the
-comparisons are bitwise.
+Newton per spacetime point in raster order (row 0 from the seed at every
+point first), and the cell-by-cell double loop of the march.  The batched
+code keeps every point's arithmetic, so the comparisons are bitwise.
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from conftest import hopf_system, shallow_water_riemann_system
 from hydrobrackets import cli
 from hydrobrackets import hodograph as hg
-from hydrobrackets.errors import NonConvergenceError
+from hydrobrackets.errors import DomainError, NonConvergenceError
 from hydrobrackets.expr import parse
 from hydrobrackets.system import Box, SystemDef, sample_box
 
@@ -39,13 +39,21 @@ def oracle_contains(box, point, pad):
 
 
 def oracle_newton_point(x, t, start, flow, v_at, dv_at, box, tol):
+    # a start outside the expressions' domain stays put with residual NaN,
+    # a trial outside it is rejected, a Jacobian outside it stops the point
     r = np.array(start, dtype=float)
-    f = flow.w_at(r) - t * v_at(r) - x
+    try:
+        f = flow.w_at(r) - t * v_at(r) - x
+    except DomainError:
+        return r, np.nan, False
     fnorm = float(np.max(np.abs(f)))
     for _ in range(hg.NEWTON_MAX_ITER):
         if fnorm < tol:
             break
-        jac = flow.dw_at(r) - t * dv_at(r)
+        try:
+            jac = flow.dw_at(r) - t * dv_at(r)
+        except DomainError:
+            break
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
@@ -53,7 +61,11 @@ def oracle_newton_point(x, t, start, flow, v_at, dv_at, box, tol):
         scale, accepted = 1.0, False
         for _ in range(21):
             rn = r - scale * step
-            fn = flow.w_at(rn) - t * v_at(rn) - x
+            try:
+                fn = flow.w_at(rn) - t * v_at(rn) - x
+            except DomainError:
+                scale *= 0.5
+                continue
             fn_norm = float(np.max(np.abs(fn)))
             if fn_norm < fnorm or fn_norm < tol:
                 accepted = True
@@ -81,17 +93,25 @@ def oracle_solve(sys, flow, *, x_window, t_window, nx, nt, seed,
     rr = np.empty((nt, nx, sys.N))
     res = np.empty((nt, nx))
     conv = np.zeros((nt, nx), dtype=bool)
-    last_good = np.array(seed, dtype=float)
+    seed = np.array(seed, dtype=float)
+    row0 = [oracle_newton_point(x, ts[0], seed, flow, v_at, dv_at, box,
+                                newton_tol) for x in xs]
+    last_good = seed
     for k, t in enumerate(ts):
         for i, x in enumerate(xs):
-            if k > 0 and conv[k - 1, i]:
-                start = rr[k - 1, i]
-            elif i > 0 and conv[k, i - 1]:
-                start = rr[k, i - 1]
+            if k == 0 and (row0[i][2] or last_good is seed):
+                # row 0 starts every point from the seed, and marches in x
+                # only where that failed and a converged point precedes it
+                r, fnorm, ok = row0[i]
             else:
-                start = last_good
-            r, fnorm, ok = oracle_newton_point(x, t, start, flow, v_at, dv_at,
-                                               box, newton_tol)
+                if k > 0 and conv[k - 1, i]:
+                    start = rr[k - 1, i]
+                elif i > 0 and conv[k, i - 1]:
+                    start = rr[k, i - 1]
+                else:
+                    start = last_good
+                r, fnorm, ok = oracle_newton_point(x, t, start, flow, v_at,
+                                                   dv_at, box, newton_tol)
             rr[k, i] = r
             res[k, i] = fnorm
             conv[k, i] = ok
@@ -226,6 +246,58 @@ def test_sampled_window_past_the_box_edge_matches_oracle():
     sol, ref = solve_both(sys, flow, nx=24, nt=7,
                           **windowed(sys, flow, (1.5, 3.5), widen=4.0))
     assert 0 < sol.n_converged < sol.converged.size
+    assert_same_solution(sol, ref)
+
+
+def count_batches(monkeypatch):
+    """Record ``(t, points, converged)`` of every `_newton_batch` call."""
+    calls = []
+    newton = hg._newton_batch
+
+    def counting(x, t, *args):
+        out = newton(x, t, *args)
+        calls.append((float(t), len(x), int(np.sum(out[2]))))
+        return out
+
+    monkeypatch.setattr(hg, "_newton_batch", counting)
+    return calls
+
+
+def test_hopf_solves_each_row_in_one_batch(monkeypatch):
+    calls = count_batches(monkeypatch)
+    assert cli.main(["hodograph", "hopf"]) == 0
+    assert len(calls) == 33
+    assert calls[0] == (0.0, 256, 256)
+    assert all(points == converged == 256 for _, points, converged in calls)
+
+
+def test_row_zero_fallback_matches_oracle_where_the_seed_start_fails(monkeypatch):
+    # log u = x at t = 0 puts u = e^x outside [0.2, 2] at both ends of the
+    # row: the points before the first converged one are not solved again,
+    # those after it march in x from the last converged point
+    sys = hopf_system()
+    kw = dict(x_window=(-3, 3), t_window=(0, 0.2), nx=64, nt=5, seed=(1.0,))
+    calls = count_batches(monkeypatch)
+    sol, ref = solve_both(sys, hg.closed_form_flow(sys, ["log(u)"]), **kw)
+    row0 = [c for c in calls if c[0] == 0.0]
+    assert row0[0] == (0.0, 64, 24)
+    assert 0 < len(row0) - 1 < 64 - 24
+    assert sol.converged[0].sum() == 24
+    assert_same_solution(sol, ref)
+
+
+def test_row_zero_fallback_rescues_points_the_seed_start_misses(monkeypatch):
+    # from the seed the Newton step overshoots by e^20 and no halving
+    # helps; from the left neighbour it converges
+    sys = hopf_system()
+    kw = dict(x_window=(np.exp(-18), np.exp(2)), t_window=(0, 0.01), nx=32,
+              nt=5, seed=(1.5,))
+    calls = count_batches(monkeypatch)
+    sol, ref = solve_both(sys, hg.closed_form_flow(sys, ["exp(12 - 20*u)"]), **kw)
+    row0 = [c for c in calls if c[0] == 0.0]
+    assert row0[0] == (0.0, 32, 2)
+    assert row0[1:] == [(0.0, 1, 1)] * 30
+    assert sol.n_converged == sol.converged.size
     assert_same_solution(sol, ref)
 
 
@@ -465,7 +537,7 @@ HOPF_STDOUT = """\
 semi-hamiltonian [pass]: residual 0.000e+00 (tol 1.0e-09) over 0 triples (vacuous: no index triples)
 flow [closed-form]: defining residual 0.000e+00 (user-supplied)
 solved 8448/8448 spacetime points on x=0.5..1.5 t=0..0.2
-pde residual: max 3.910e-10 mean 6.221e-11 over 7308 points
+pde residual: max 3.973e-10 mean 6.222e-11 over 7308 points
 """
 
 SWR_STDOUT = """\

@@ -373,3 +373,90 @@ def test_operator_matrix_from_v_diag():
     mat = tz.operator_at(sys, (0.5, 1.5, 2.5))
     assert np.allclose(np.diag(mat[0]), [4.0, 3.0, 2.0])
     assert np.allclose(mat[0] - np.diag(np.diag(mat[0])), 0.0)
+
+
+# --- the singularity guard -----------------------------------------------------
+
+def svd_guarded_inverse(upper, pts):
+    """The guard with an SVD at every point (frozen)."""
+    bad = np.abs(np.linalg.det(upper)) < tz.DET_FLOOR
+    if np.any(bad):
+        where = tz.point_at(pts, np.argmax(bad))
+        raise SingularMetricError(
+            f"metric determinant below {tz.DET_FLOOR:g} at {where}", where)
+    bad = ~(np.linalg.cond(upper) < tz.COND_CEILING)
+    if np.any(bad):
+        where = tz.point_at(pts, np.argmax(bad))
+        raise SingularMetricError(
+            f"metric condition number above {tz.COND_CEILING:g} at {where}", where)
+    return np.linalg.inv(upper)
+
+
+def guard_outcome(fn, *args):
+    try:
+        return "inverse", fn(*args).tobytes()
+    except (SingularMetricError, np.linalg.LinAlgError) as err:
+        return type(err), str(err), getattr(err, "point", None)
+
+
+def rotated_metrics(small):
+    """2x2 metrics Q diag(1, s) Q^T at 8 points, with s = 0.5 except where
+    ``small`` maps a point index to s, and their points."""
+    sys = SystemDef(["x", "y"], g_upper=[["1", "0"], ["0", "1"]],
+                    box=Box((0.0, 0.0), (1.0, 1.0)))
+    pts = sample_box(sys.box, 8)
+    upper = np.empty((8, 2, 2))
+    for p, angle in enumerate(np.linspace(0.1, 1.3, 8)):
+        c, s = np.cos(angle), np.sin(angle)
+        q = np.array([[c, -s], [s, c]])
+        upper[p] = q @ np.diag([1.0, small.get(p, 0.5)]) @ q.T
+    return sys, upper, pts
+
+
+@pytest.mark.parametrize("small, outcome", [
+    ({5: 1.01e-12}, "inverse"),
+    ({2: 0.99e-12, 6: 1e-13}, SingularMetricError),
+    ({4: 1e-13, 1: 1.01e-12}, SingularMetricError),
+])
+def test_guard_matches_the_svd_at_every_point(small, outcome):
+    sys, upper, pts = rotated_metrics(small)
+    conds = np.linalg.cond(upper)
+    for p, s in small.items():
+        # s = 1e-12 puts the condition number at the ceiling
+        assert (conds[p] < tz.COND_CEILING) == (s > 1e-12)
+        if s > 1e-13:
+            assert abs(conds[p] / tz.COND_CEILING - 1) < 0.02
+    got = guard_outcome(tz._guarded_inverse, sys, upper, pts)
+    assert got == guard_outcome(svd_guarded_inverse, upper, pts)
+    assert got[0] == outcome
+    if outcome is SingularMetricError:
+        first = min(p for p, s in small.items() if s < 1e-12)
+        assert got[2] == tz.point_at(pts, first)
+
+
+def test_guard_with_a_nan_entry_matches_the_svd_at_every_point():
+    sys, upper, pts = rotated_metrics({6: 1e-13})
+    upper[3, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = guard_outcome(tz._guarded_inverse, sys, upper, pts)
+        assert got == guard_outcome(svd_guarded_inverse, upper, pts)
+    assert got[0] != "inverse"
+
+
+def test_guard_runs_the_svd_only_near_the_ceiling(monkeypatch):
+    cond = np.linalg.cond
+    seen = []
+
+    def counting(a, *args, **kwargs):
+        seen.append(len(a))
+        return cond(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    sys, upper, pts = rotated_metrics({1: 1e-9, 5: 1.01e-12})
+    assert tz._guarded_inverse(sys, upper, pts).tobytes() == np.linalg.inv(upper).tobytes()
+    # the bound clears s = 0.5 and s = 1e-9 (condition numbers 2 and 1e9)
+    assert seen == [1]
+    seen.clear()
+    polar = polar_pair_system()
+    tz.metric_lower_at(polar, sample_box(polar.box, 64))
+    assert seen == []

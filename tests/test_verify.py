@@ -442,3 +442,24 @@ def test_report_text_shows_constant_and_failures():
     assert "MF_CONST_CURV(c=" in text
     failing = str(verify.check_dn(sphere_system(with_b=True)))
     assert "FAIL" in failing and "flatness" in failing
+
+
+def test_write_csv_bytes_match_savetxt(tmp_path):
+    # distinct values are formatted once, told apart by bit pattern: signed
+    # zeros, NaN payloads and subnormals keep the text savetxt gives them
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                     0xFFF8000000000000, 0x7FF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    special = np.concatenate([nans, [0.0, -0.0, np.inf, -np.inf, 5e-324,
+                                     -5e-324, 2.2250738585072014e-308 / 3,
+                                     1.0, 1.0, -0.0, 1 / 3, 1 / 3]])
+    rng = np.random.default_rng(3)
+    repeated = rng.choice(special, size=special.size)
+    cols = [special, repeated, rng.normal(size=special.size),
+            (rng.random(special.size) < 0.5).astype(float)]
+    for header in ("a,b,c,d", ""):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        verify.write_csv(ours, header, cols)
+        np.savetxt(ref, np.column_stack(cols), delimiter=",", header=header,
+                   comments="", fmt="%.17e")
+        assert ours.read_bytes() == ref.read_bytes()
