@@ -92,7 +92,11 @@ class ConfigError(HydroBracketsError):
 
 
 class StepTooSmallWarning(UserWarning):
-    """Finite-difference step so small that roundoff dominates the result."""
+    """Finite-difference step so small that roundoff dominates the result.
+
+    Nothing in the package emits it since `fieldbracket.jacobi_residual`
+    became exact; the Jacobi hook of `perfbench/tracing.py` still imports it.
+    """
 
 
 class DegenerateHyperbolicityWarning(UserWarning):

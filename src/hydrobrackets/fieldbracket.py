@@ -8,32 +8,30 @@ the local g and b terms and the ultralocal h term, each present when its
 coefficients are declared.  On top of the evaluated bracket this module
 provides the two operational bracket axioms as numbers: an antisymmetry
 residual comes out of `bracket` directly, and `jacobi_residual` measures the
-cyclic sum with one directional difference per term.
+cyclic sum with the exact derivative of the discrete bracket in each term.
 
 Cost model: a bracket evaluates each expression table entry once over the
-M gridpoints.  Each cyclic term {{F,G},H} of a Jacobi residual is the
-derivative of {F,G} along the flow A(delta H), so it costs one operator
-application and the brackets of two perturbed fields, stacked along the
-leading batch axis of the array core shared by `bracket`,
-`apply_bracket_operator` and `Functional.variational`: O(M) points per term.
+M gridpoints.  A Jacobi residual evaluates each functional's gradient and
+Hessian tables once at the field, and makes three calls into the operator
+core shared by `bracket`, `apply_bracket_operator` and `hamiltonian_flow`,
+each with the three cyclic terms stacked on its leading batch axis: the
+three flows, the operator derivatives along them (first-derivative tables
+of the coefficients) and the operator on the Hessian products.  That is
+O(M) points per term, with no step size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import ShapeMismatchError, StepTooSmallWarning
+from .errors import ShapeMismatchError
 from .expr import as_expr, differentiate, evaluate_table
 from .system import SystemDef
-from .verify import write_csv
-
-H_STEP = 1e-5
 
 
 def _is_power_of_two(m):
@@ -65,20 +63,12 @@ class GridField:
         object.__setattr__(self, "values", vals)
 
     @property
-    def n_components(self):
-        return self.values.shape[0]
-
-    @property
     def n_points(self):
         return self.values.shape[1]
 
     @property
     def dx(self):
         return 2.0 * math.pi / self.values.shape[1]
-
-    @property
-    def x(self):
-        return np.arange(self.values.shape[1]) * self.dx
 
 
 def spectral_dx(values):
@@ -110,6 +100,14 @@ class Functional:
         self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
         self._density_table = np.array(self.density, dtype=object)
         self._gradient_table = np.array(self.gradient, dtype=object)
+        # mixed partials commute, so the (q, r) entry is the (r, q) object
+        # and `evaluate_table` evaluates it once
+        n = len(self.coords)
+        self._hessian_table = np.empty((n, n), dtype=object)
+        for r, c in enumerate(self.coords):
+            for q in range(r, n):
+                self._hessian_table[r, q] = self._hessian_table[q, r] = (
+                    differentiate(self.gradient[q], c))
 
     def value(self, U: GridField) -> float:
         dens = evaluate_table(self._density_table, self.coords, {}, U.values.T)
@@ -125,6 +123,10 @@ class Functional:
         grad = evaluate_table(self._gradient_table, self.coords, {},
                               np.swapaxes(values, -1, -2))
         return np.ascontiguousarray(np.swapaxes(grad, -1, -2))
+
+    def _hessian(self, values):
+        """Hessian of the density at fields (N, M), shape (M, N, N)."""
+        return evaluate_table(self._hessian_table, self.coords, {}, values.T)
 
 
 def random_polynomial_functional(coords, *, degree=3, seed=0) -> Functional:
@@ -161,8 +163,14 @@ def apply_bracket_operator(sys: SystemDef, U: GridField, xi) -> GridField:
                                np.asarray(xi, dtype=float)[None])[0])
 
 
-def _operator(sys, values, xi):
-    """`apply_bracket_operator` on fields and covectors stacked as (B, N, M)."""
+def _operator(sys, values, xi, along=None):
+    """`apply_bracket_operator` on fields and covectors stacked as (B, N, M).
+
+    With directions ``along`` stacked the same way, the derivative
+    dA[along] xi of the operator along U + eps*along instead: each
+    coefficient table is replaced by its derivative along ``along``, and the
+    b term gains b^{nm}_l (along^l)_x xi_m.
+    """
     _check_shapes(sys, values, xi)
     if sys.g_upper is None and sys.h_ultra is None:
         raise ValueError("system declares no bracket (needs g_upper or h_ultra)")
@@ -170,16 +178,29 @@ def _operator(sys, values, xi):
     batch, n, m = values.shape
     # (B*M, N) points; each column is a contiguous row of the (N, B*M) copy
     pts = np.moveaxis(values, 1, 0).reshape(n, batch * m).T
+    if along is not None:
+        dirs = np.moveaxis(along, 1, 0).reshape(n, batch * m).T
+
+    def coef(table, value_at):
+        if along is None:
+            vals = value_at(sys, pts)
+        else:
+            d1 = tz.table_d1_at(sys, table, pts).reshape(batch * m, n, -1)
+            vals = np.einsum("pr,prk->pk", dirs, d1)
+        return vals.reshape((batch, m) + table.shape)
+
     out = np.zeros(values.shape)
     if sys.g_upper is not None:
-        g = tz.metric_upper_at(sys, pts).reshape(batch, m, n, n)
+        g = coef(sys.g_upper, tz.metric_upper_at)
         out += np.einsum("bxnm,bmx->bnx", g, spectral_dx(xi))
         if sys.b is not None:
-            b = tz.b_at(sys, pts).reshape(batch, m, n, n, n)
-            out += np.einsum("bxnml,blx,bmx->bnx", b, spectral_dx(values), xi)
+            out += np.einsum("bxnml,blx,bmx->bnx", coef(sys.b, tz.b_at),
+                             spectral_dx(values), xi)
+            if along is not None:
+                b = tz.b_at(sys, pts).reshape(batch, m, n, n, n)
+                out += np.einsum("bxnml,blx,bmx->bnx", b, spectral_dx(along), xi)
     if sys.h_ultra is not None:
-        h = tz.h_ultra_at(sys, pts).reshape(batch, m, n, n)
-        out += np.einsum("bxnm,bmx->bnx", h, xi)
+        out += np.einsum("bxnm,bmx->bnx", coef(sys.h_ultra, tz.h_ultra_at), xi)
     return out
 
 
@@ -204,60 +225,31 @@ def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField) -> GridField:
     return apply_bracket_operator(sys, U, H.variational(U))
 
 
-def _cyclic_term(sys, Fa, Fb, Fc, U):
-    """{{Fa, Fb}, Fc} as the central difference of {Fa, Fb} along the flow
-    of Fc, with the roundoff of that quotient."""
-    flow = hamiltonian_flow(sys, Fc, U).values
-    stack = U.values + np.multiply.outer([H_STEP, -H_STEP], flow)
-    _require_finite(stack)
-    up, down = _bracket(sys, Fa, Fb, stack, U.dx)
-    noise = np.finfo(float).eps / (2.0 * H_STEP) * max(1.0, abs(up), abs(down))
-    return float((up - down) / (2.0 * H_STEP)), float(noise)
-
-
 def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
                     H: Functional, U: GridField) -> float:
     """|{{F,G},H} + {{G,H},F} + {{H,F},G}| at the given field.
 
-    Each term {{F,G},H} is the derivative of {F,G} along the flow
-    v = A(delta H), taken as the central difference
-    ({F,G}[U + h v] - {F,G}[U - h v]) / (2 h) with h = ``H_STEP``, so a
-    residual costs six brackets; everything else is exact on the grid.
-    Emits `StepTooSmallWarning` when the cyclic sum is at or below ten times
-    the roundoff of the three quotients, meaning the returned value is a
-    floor rather than a resolved residual.
+    Term k, {{F_k, F_{k+1}}, F_{k+2}}, is the exact derivative of the
+    discrete bracket {F_k, F_{k+1}} along the flow v = A(delta F_{k+2}):
+
+        sum_x [(Hess f_k v).A(delta F_{k+1}) + delta F_k.dA[v](delta F_{k+1})
+               + delta F_k.A(Hess f_{k+1} v)] dx,
+
+    with dA[v] the derivative of the operator along v.  The three terms are
+    stacked on the batch axis of the operator core, which a residual calls
+    three times: for the flows, for dA and for A of the Hessian products.
     """
-    terms = [_cyclic_term(sys, F, G, H, U),
-             _cyclic_term(sys, G, H, F, U),
-             _cyclic_term(sys, H, F, G, U)]
-    total = abs(sum(term for term, _ in terms))
-    noise = sum(noise for _, noise in terms)
-    if total <= 10.0 * noise:
-        warnings.warn(
-            f"Jacobi cyclic sum {total:.3e} is within the roundoff "
-            f"estimate {10.0 * noise:.3e} for h_step={H_STEP:g}; the value is "
-            "a floor, not a resolved residual",
-            StepTooSmallWarning, stacklevel=2)
-    return total
-
-
-# --- grid I/O -------------------------------------------------------------
-
-def save_grid_csv(path, U: GridField):
-    """Write a field as CSV with columns x, U1..UN."""
-    header = "x," + ",".join(f"U{k + 1}" for k in range(U.n_components))
-    write_csv(path, header, [U.x, *U.values])
-
-
-def load_grid_csv(path) -> GridField:
-    """Read a field written by `save_grid_csv`, validating the grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError("field CSV needs an x column and at least one component")
-    x = data[:, 0]
-    m = len(x)
-    if not _is_power_of_two(m):
-        raise ValueError(f"grid size {m} is not a power of two")
-    if np.max(np.abs(x - np.arange(m) * (2.0 * math.pi / m))) > 1e-9:
-        raise ValueError("x column is not the uniform grid on [0, 2*pi)")
-    return GridField(data[:, 1:].T)
+    funcs = (F, G, H)
+    grads = np.stack([f._variational(U.values) for f in funcs])
+    hess = np.stack([f._hessian(U.values) for f in funcs])
+    values = np.broadcast_to(U.values, grads.shape)
+    flows = _operator(sys, values, grads)
+    _require_finite(flows)
+    # term k reads F_k, F_{k+1} = F_nxt[k] and v_k = A(delta F_{k+2})
+    nxt, v = [1, 2, 0], flows[[2, 0, 1]]
+    hv, hv_next = (np.einsum("kxrq,kqx->krx", h, v) for h in (hess, hess[nxt]))
+    inner = _operator(sys, values, grads[nxt], along=v)
+    inner += _operator(sys, values, hv_next)
+    _require_finite(inner)
+    total = np.sum(hv * flows[nxt]) + np.sum(grads * inner)
+    return float(abs(total) * U.dx)

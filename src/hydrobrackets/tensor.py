@@ -160,6 +160,10 @@ def point_at(pts, i):
 
 
 def _guarded_inverse(sys, upper, pts):
+    finite = np.isfinite(upper).all(axis=(1, 2))
+    if not finite.all():
+        where = point_at(pts, np.argmin(finite))
+        raise SingularMetricError(f"metric value not finite at {where}", where)
     dets = np.linalg.det(upper)
     bad = np.abs(dets) < DET_FLOOR
     if np.any(bad):
@@ -174,7 +178,7 @@ def _guarded_inverse(sys, upper, pts):
     lower = np.linalg.inv(upper)
     # ||g||_F ||g^-1||_F is never below the 2-norm condition number, so a
     # point whose bound is far below the ceiling needs no SVD; an overflowing
-    # or NaN bound sends its point to the SVD
+    # bound sends its point to the SVD
     with np.errstate(all="ignore"):
         bound = np.linalg.norm(upper, axis=(1, 2)) * np.linalg.norm(lower, axis=(1, 2))
     check = np.flatnonzero(~(bound < COND_CEILING / 100))
@@ -188,8 +192,9 @@ def _guarded_inverse(sys, upper, pts):
 
 
 def metric_lower_at(sys: SystemDef, pts):
-    """Inverse metric; `SingularMetricError` where ``|det g_upper|`` is below
-    ``DET_FLOOR`` or its condition number is above ``COND_CEILING``."""
+    """Inverse metric; `SingularMetricError` where an entry of ``g_upper`` is
+    not finite, ``|det g_upper|`` is below ``DET_FLOOR`` or its condition
+    number is above ``COND_CEILING``."""
     pts = _points(sys, pts)
     return _guarded_inverse(sys, metric_upper_at(sys, pts), pts)
 

@@ -79,9 +79,7 @@ PUBLIC_OPTIONS = {
     "fieldbracket.bracket": (),
     "fieldbracket.hamiltonian_flow": (),
     "fieldbracket.jacobi_residual": (),
-    "fieldbracket.load_grid_csv": (),
     "fieldbracket.random_polynomial_functional": ("degree", "seed"),
-    "fieldbracket.save_grid_csv": (),
     "fieldbracket.spectral_dx": (),
     "expr.Expr": (),
     "expr.Number": (),

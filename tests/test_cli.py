@@ -251,7 +251,7 @@ def test_jacobi_tol_zero_overrides_tol_jacobi(capsys):
     (["check", "--class", "mf", "sphere"],
      "67e754bffbee6ae698a466fd5ef5e8f940a98fc9f7e029c3e5d941bbc1819e7b"),
     (["jacobi", "polar_plane", "--seed", "0"],
-     "00e16906aa214b43c6eaf712b5ba3a8f605e343a9d14d6a7c240cbd25e48bff6"),
+     "3bd2b468ec07a453b82ca621ddad98188222f2e4a7e44c692a80152ae8e5f619"),
 ])
 def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "report.json"
@@ -347,6 +347,17 @@ def test_check_auto_dispatch(capsys, tmp_path):
     path = write_config(tmp_path, gaussian_warp_doc())
     assert main(["check", path]) == 2
     assert "INDETERMINATE" in capsys.readouterr().out
+
+
+def test_check_non_finite_metric_value_is_an_error(tmp_path, capsys):
+    doc = {"name": "nan-metric", "N": 2, "coords": ["x", "y"],
+           "g_upper": [["1", "0"], ["0", "exp(1000*x)*0 + 1"]],
+           "box": {"min": [0.0, 0.0], "max": [1.0, 1.0]}}
+    assert main(["check", write_config(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: metric value not finite at (")
+    assert captured.err.count("\n") == 1
 
 
 def test_check_missing_affinors_is_an_error(capsys):
@@ -484,6 +495,17 @@ def test_jacobi_flat_bracket_passes(tmp_path, capsys):
 def test_jacobi_curved_metric_fails(capsys):
     assert main(["jacobi", "sphere", "--grid", "32"]) == 2
     assert "jacobi [FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("name, code", [
+    ("canonical", 0), ("polar_plane", 0), ("so3", 0), ("hopf", 0),
+    ("sphere", 2), ("sphere_affinor", 2)])
+def test_jacobi_exit_codes_of_the_bracket_examples(name, code, seed, capsys):
+    assert main(["jacobi", name, "--grid", "32", "--seed", seed]) == code
+    out = capsys.readouterr().out
+    assert out.startswith("jacobi [pass]" if code == 0 else "jacobi [FAIL]")
+    assert "roundoff" not in out
 
 
 def test_jacobi_reports_are_deterministic(tmp_path):

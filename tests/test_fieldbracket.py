@@ -7,18 +7,17 @@ cyclic sum, while systems failing them must not.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
     canonical_system, epsilon_system, polar_pair_system,
-    shallow_water_riemann_system, shallow_water_system, so3_system,
-    sphere_system,
+    hopf_system, shallow_water_riemann_system, shallow_water_system,
+    so3_system, sphere_system,
 )
 from hydrobrackets import fieldbracket as fb
-from hydrobrackets.errors import ShapeMismatchError, StepTooSmallWarning
+from hydrobrackets.errors import ShapeMismatchError
 from hydrobrackets.system import Box, SystemDef
 
 
@@ -41,10 +40,27 @@ def cubic_triple(coords, seeds=(0, 1, 2), degree=3):
                  for s in seeds)
 
 
-def quiet_jacobi(sys, funcs, U):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepTooSmallWarning)
-        return fb.jacobi_residual(sys, *funcs, U)
+def central_jacobi(sys, funcs, U, h=1e-5):
+    """Oracle: the cyclic sum with each term {{Fa,Fb},Fc} taken as the
+    central difference ({Fa,Fb}[U + h v] - {Fa,Fb}[U - h v]) / 2h along the
+    flow v = A(delta Fc), from public `bracket` and `hamiltonian_flow` calls.
+    Its roundoff floor is about eps/h, near 1e-11 for a Poisson bracket."""
+    F, G, H = funcs
+    total = 0.0
+    for fa, fb_, fc in ((F, G, H), (G, H, F), (H, F, G)):
+        v = fb.hamiltonian_flow(sys, fc, U).values
+        up = fb.bracket(sys, fa, fb_, fb.GridField(U.values + h * v))
+        down = fb.bracket(sys, fa, fb_, fb.GridField(U.values - h * v))
+        total += (up - down) / (2.0 * h)
+    return abs(total)
+
+
+def perturbed_polar_system():
+    """The polar-plane bracket with one b entry shifted: not Poisson."""
+    b = [[["0", "0"], ["0", "-1/r + 0.1"]],
+         [["0", "1/r"], ["-1/r^3", "0"]]]
+    return SystemDef(["r", "th"], g_upper=[["1", "0"], ["0", "1/r^2"]], b=b,
+                     box=Box((0.5, -1.0), (2.5, 1.5)))
 
 
 # --- grid and derivative basics -------------------------------------------------
@@ -57,7 +73,7 @@ def test_grid_field_validation():
     with pytest.raises(ShapeMismatchError):
         fb.GridField(np.zeros(16))
     f = fb.GridField(np.zeros((3, 32)))
-    assert f.n_components == 3 and f.n_points == 32
+    assert f.n_points == 32
     assert abs(f.dx - 2 * math.pi / 32) < 1e-15
 
 
@@ -227,7 +243,7 @@ def test_leibniz_rule_matches_flow_derivative():
 def test_jacobi_constant_bracket_cubic_densities():
     sys = canonical_system()
     U = smooth_field((0.3, -0.2), 64, seed=1)
-    assert quiet_jacobi(sys, cubic_triple(sys.coords), U) < 1e-8
+    assert fb.jacobi_residual(sys, *cubic_triple(sys.coords), U) < 1e-8
 
 
 def test_jacobi_flat_curvilinear_bracket():
@@ -235,20 +251,17 @@ def test_jacobi_flat_curvilinear_bracket():
     U = smooth_field((1.5, 0.2), 64, seed=2)
     for seeds in ((0, 1, 2), (3, 4, 5)):
         funcs = cubic_triple(sys.coords, seeds=seeds, degree=2)
-        assert quiet_jacobi(sys, funcs, U) < 1e-6
+        assert fb.jacobi_residual(sys, *funcs, U) < 1e-6
 
 
 def test_jacobi_detects_perturbed_b():
-    b = [[["0", "0"], ["0", "-1/r + 0.1"]],
-         [["0", "1/r"], ["-1/r^3", "0"]]]
-    sys = SystemDef(["r", "th"], g_upper=[["1", "0"], ["0", "1/r^2"]], b=b,
-                    box=Box((0.5, -1.0), (2.5, 1.5)))
+    sys = perturbed_polar_system()
     U = smooth_field((1.5, 0.2), 32, seed=2)
     found = False
     for seed in range(20):
         funcs = cubic_triple(sys.coords, seeds=(seed, seed + 100, seed + 200),
                              degree=2)
-        if quiet_jacobi(sys, funcs, U) > 1e-3:
+        if fb.jacobi_residual(sys, *funcs, U) > 1e-3:
             found = True
             break
     assert found
@@ -261,7 +274,7 @@ def test_jacobi_detects_curved_metric():
     for seed in range(20):
         funcs = cubic_triple(sys.coords, seeds=(seed, seed + 50, seed + 90),
                              degree=2)
-        if quiet_jacobi(sys, funcs, U) > 1e-3:
+        if fb.jacobi_residual(sys, *funcs, U) > 1e-3:
             found = True
             break
     assert found
@@ -271,24 +284,7 @@ def test_jacobi_ultralocal_rotation_algebra():
     sys = so3_system()
     U = smooth_field((0.4, -0.2, 0.8), 32, seed=5)
     funcs = cubic_triple(sys.coords, degree=2)
-    assert quiet_jacobi(sys, funcs, U) < 1e-8
-
-
-def loop_inner_gradient(sys, fa, fb_, U, h_step):
-    """Reference: one central quotient of two `bracket` calls per entry."""
-    n, m = U.values.shape
-    amp = h_step / U.dx
-    out = np.empty((n, m))
-    for nu in range(n):
-        for i in range(m):
-            up = U.values.copy()
-            up[nu, i] += amp
-            down = U.values.copy()
-            down[nu, i] -= amp
-            out[nu, i] = (fb.bracket(sys, fa, fb_, fb.GridField(up))
-                          - fb.bracket(sys, fa, fb_, fb.GridField(down))
-                          ) / (2.0 * h_step)
-    return out
+    assert fb.jacobi_residual(sys, *funcs, U) < 1e-8
 
 
 def gradient_cases():
@@ -296,37 +292,70 @@ def gradient_cases():
         (so3_system(), smooth_field((0.4, -0.2, 0.8), 32, seed=5))]
 
 
-def test_cyclic_term_matches_per_perturbation_gradient():
-    # the gradient loop dotted with the flow is the term's oracle: both
-    # approximate <delta{Fa,Fb}, A(delta Fc)> by central differences.  The
-    # loop moves one entry by h/dx, far more than the flow moves any entry,
-    # so it runs at a tenth of the step to keep its own truncation error
-    # (2e-6 relative on the polar plane at the full step) below the bound
-    for sys, U in gradient_cases():
-        fa, fb_, fc = cubic_triple(sys.coords, degree=2)
-        flow = fb.hamiltonian_flow(sys, fc, U).values
-        ref = float(np.sum(loop_inner_gradient(
-            sys, fa, fb_, U, fb.H_STEP / 10) * flow) * U.dx)
-        term, noise = fb._cyclic_term(sys, fa, fb_, fc, U)
-        assert abs(term - ref) <= 1e-6 * abs(ref), sys.name
-        assert 0.0 < noise < 1e-6 * abs(ref)
-
-
 @pytest.mark.parametrize("m", [32, 64, 128])
-def test_jacobi_residual_brackets_six_perturbed_fields(monkeypatch, m):
+def test_jacobi_residual_makes_three_stacked_core_calls(monkeypatch, m):
     sys = polar_pair_system()
     U = smooth_field((1.5, 0.2), m, seed=2)
-    fields = []
-    core = fb._bracket
+    calls = []
+    core = fb._operator
 
-    def counted(sys_, f, g, values, *args, **kw):
-        fields.append(len(values))
-        return core(sys_, f, g, values, *args, **kw)
+    def counted(sys_, values, xi, along=None):
+        calls.append((len(values), along is not None))
+        return core(sys_, values, xi, along)
 
-    monkeypatch.setattr(fb, "_bracket", counted)
+    monkeypatch.setattr(fb, "_operator", counted)
     # a plain float, so the CLI's `pass` comparison stays a JSON bool
-    assert type(quiet_jacobi(sys, cubic_triple(sys.coords, degree=2), U)) is float
-    assert fields == [2, 2, 2]
+    funcs = cubic_triple(sys.coords, degree=2)
+    assert type(fb.jacobi_residual(sys, *funcs, U)) is float
+    # the flows, dA along them, and A of the Hessian products
+    assert calls == [(3, False), (3, True), (3, False)]
+
+
+def non_poisson_cases(m):
+    return [(sphere_system(with_b=True),
+             smooth_field((1.2, 1.5), m, seed=3, amplitude=0.2)),
+            (perturbed_polar_system(), smooth_field((1.5, 0.2), m, seed=3))]
+
+
+def poisson_cases(m):
+    return [(canonical_system(), smooth_field((0.3, -0.2), m, seed=1)),
+            (polar_pair_system(), smooth_field((1.5, 0.2), m, seed=1)),
+            (so3_system(), smooth_field((0.4, -0.2, 0.8), m, seed=1)),
+            (hopf_system(), smooth_field((1.0,), m, seed=1))]
+
+
+@pytest.mark.parametrize("m", [32, 64])
+def test_exact_jacobi_matches_central_difference_oracle(m):
+    for sys, U in non_poisson_cases(m):
+        for seed in range(5):
+            funcs = cubic_triple(sys.coords, seeds=(seed, seed + 50, seed + 90))
+            exact = fb.jacobi_residual(sys, *funcs, U)
+            oracle = central_jacobi(sys, funcs, U)
+            assert oracle > 1e-3, sys.name
+            assert abs(exact - oracle) <= 1e-6 * oracle, (sys.name, seed)
+
+
+def test_exact_jacobi_of_poisson_brackets_is_below_the_old_floor():
+    for sys, U in poisson_cases(64):
+        for seed in range(0, 15, 3):
+            funcs = cubic_triple(sys.coords, seeds=(seed, seed + 1, seed + 2))
+            assert fb.jacobi_residual(sys, *funcs, U) < 1e-13, (sys.name, seed)
+
+
+def test_operator_derivative_matches_central_difference():
+    # two different directions stacked, so each batch entry reads its own
+    h = 1e-5
+    for sys, U in non_poisson_cases(64) + poisson_cases(64):
+        f, g, k = cubic_triple(sys.coords)
+        values = np.stack([U.values, U.values])
+        xi = f._variational(values)
+        v = np.stack([fb.hamiltonian_flow(sys, g, U).values,
+                      fb.hamiltonian_flow(sys, k, U).values])
+        exact = fb._operator(sys, values, xi, along=v)
+        central = (fb._operator(sys, values + h * v, xi)
+                   - fb._operator(sys, values - h * v, xi)) / (2.0 * h)
+        scale = np.max(np.abs(fb._operator(sys, values, xi)))
+        assert np.max(np.abs(exact - central)) <= 1e-7 * scale, sys.name
 
 
 def test_stacked_operator_and_variational_match_per_field():
@@ -343,15 +372,6 @@ def test_stacked_operator_and_variational_match_per_field():
                 sys, field, xi[k]).values)
 
 
-def test_jacobi_warns_when_step_too_small():
-    # a flat bracket's cyclic sum is resolved only down to the roundoff of
-    # the three quotients at ``H_STEP``
-    sys = canonical_system()
-    U = smooth_field((0.3, -0.2), 32, seed=1)
-    with pytest.warns(StepTooSmallWarning):
-        fb.jacobi_residual(sys, *cubic_triple(sys.coords), U)
-
-
 def test_antisymmetry_improves_with_grid_refinement():
     residuals = []
     for m in (32, 64):
@@ -366,31 +386,7 @@ def test_antisymmetry_improves_with_grid_refinement():
 def test_jacobi_stable_under_grid_refinement():
     sys = polar_pair_system()
     funcs = cubic_triple(sys.coords, degree=2)
-    res = [quiet_jacobi(sys, funcs, smooth_field((1.5, 0.2), m, seed=2))
+    res = [fb.jacobi_residual(sys, *funcs, smooth_field((1.5, 0.2), m, seed=2))
            for m in (32, 64)]
     assert res[1] <= 3 * res[0] + 1e-9
     assert max(res) < 1e-6
-
-
-# --- I/O ----------------------------------------------------------------------
-
-def test_csv_round_trip(tmp_path):
-    U = smooth_field((1.0, -0.5), 64, seed=9)
-    path = tmp_path / "field.csv"
-    fb.save_grid_csv(path, U)
-    back = fb.load_grid_csv(path)
-    assert np.array_equal(back.values, U.values)
-
-
-def test_csv_rejects_bad_grid(tmp_path):
-    U = smooth_field((1.0,), 32)
-    path = tmp_path / "field.csv"
-    fb.save_grid_csv(path, U)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:1 + 24]) + "\n")
-    with pytest.raises(ValueError):
-        fb.load_grid_csv(path)
-    shifted = np.column_stack([U.x + 0.05, U.values[0]])
-    np.savetxt(path, shifted, delimiter=",", header="x,U1", comments="")
-    with pytest.raises(ValueError):
-        fb.load_grid_csv(path)

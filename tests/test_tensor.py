@@ -435,12 +435,15 @@ def test_guard_matches_the_svd_at_every_point(small, outcome):
 
 
 def test_guard_with_a_nan_entry_matches_the_svd_at_every_point():
+    # a non-finite entry is rejected at its point before det and the SVD,
+    # ahead of the later point whose condition number is above the ceiling
     sys, upper, pts = rotated_metrics({6: 1e-13})
     upper[3, 0, 1] = np.nan
-    with np.errstate(invalid="ignore"):
-        got = guard_outcome(tz._guarded_inverse, sys, upper, pts)
-        assert got == guard_outcome(svd_guarded_inverse, upper, pts)
-    assert got[0] != "inverse"
+    got = guard_outcome(tz._guarded_inverse, sys, upper, pts)
+    where = tz.point_at(pts, 3)
+    assert got == (SingularMetricError, f"metric value not finite at {where}",
+                   where)
+
 
 
 def test_guard_runs_the_svd_only_near_the_ceiling(monkeypatch):

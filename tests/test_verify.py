@@ -110,6 +110,16 @@ def test_check_dn_degenerate_metric_raises():
         verify.check_dn(so3_system())
 
 
+def test_non_finite_metric_value_names_its_point():
+    # exp(1000 x) overflows to inf for x > 0.71, and inf * 0 is NaN
+    sys = SystemDef(["x", "y"], g_upper=[["1", "0"], ["0", "exp(1000*x)*0 + 1"]],
+                    box=Box((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(SingularMetricError, match="metric value not finite at"
+                       ) as err:
+        verify.classify(sys)
+    assert err.value.point[0] > 0.7
+
+
 # --- check_mf -----------------------------------------------------------------
 
 def test_check_mf_unit_sphere_constant_is_one():
