@@ -99,7 +99,9 @@ def _build_parser():
                        help="sweep the bracket axioms over random functionals")
     p.add_argument("--tol-zero", dest="tol_jacobi", type=_tol,
                    help="override the Jacobi-residual tolerance")
-    p.add_argument("--grid", type=_grid, help="field gridpoints (default 64)")
+    p.add_argument("--grid", type=_grid,
+                   help="field gridpoints, a power of two of at least 4 "
+                        "(default 64)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for generated functionals")
 
@@ -201,7 +203,7 @@ def cmd_hodograph(args):
           f"{flow.residual:.3e} ({flow.provenance})")
 
     seed = section["seed"] if "seed" in section else sys_.box.center
-    if "x_window" in section and "t_window" in section:
+    if "x_window" in section:  # the config admits the windows as a pair
         x_window = tuple(section["x_window"])
         t_window = tuple(section["t_window"])
     else:

@@ -225,12 +225,18 @@ def parse_document(doc: dict) -> LoadedConfig:
         raise ConfigError(
             f"config invalid at $.N: declared {doc['N']} but {len(doc['coords'])} "
             "coordinates are listed")
+    n = len(doc["coords"])
     box = doc["box"]
-    for side in ("min", "max"):
-        if len(box[side]) != len(doc["coords"]):
-            raise ConfigError(
-                f"config invalid at $.box.{side}: expected {len(doc['coords'])} "
-                "entries")
+    section = doc.get("hodograph", {})
+    points = [(f"$.box.{side}", box[side]) for side in ("min", "max")]
+    points += [(f"$.hodograph.{key}", section[key])
+               for key in ("seed", "basepoint") if key in section]
+    for path, point in points:
+        if len(point) != n:
+            raise ConfigError(f"config invalid at {path}: expected {n} entries")
+    if ("x_window" in section) != ("t_window" in section):
+        raise ConfigError("config invalid at $.hodograph: x_window and t_window "
+                          "come as a pair")
 
     affinors = None
     if "affinors" in doc:

@@ -7,17 +7,17 @@ variational derivatives exact.  The bracket is the one the system declares:
 the local g and b terms and the ultralocal h term, each present when its
 coefficients are declared.  On top of the evaluated bracket this module
 provides the two operational bracket axioms as numbers: an antisymmetry
-residual comes out of `bracket` directly, and `jacobi_residual` measures the
-cyclic sum with the exact derivative of the discrete bracket in each term.
+residual comes out of `bracket` directly, and `jacobi_residual` measures
+Olver's tri-vector of the operator together with the triple's antisymmetry.
 
 Cost model: a bracket evaluates each expression table entry once over the
-M gridpoints.  A Jacobi residual evaluates each functional's gradient and
-Hessian tables once at the field, and makes three calls into the operator
-core shared by `bracket`, `apply_bracket_operator` and `hamiltonian_flow`,
-each with the three cyclic terms stacked on its leading batch axis: the
-three flows, the operator derivatives along them (first-derivative tables
-of the coefficients) and the operator on the Hessian products.  That is
-O(M) points per term, with no step size.
+M gridpoints.  A Jacobi residual evaluates each functional's gradient table
+once at the field, and makes two calls into the operator core shared by
+`bracket`, `apply_bracket_operator` and `hamiltonian_flow`, each with the
+three functionals stacked on its leading batch axis: the three flows, and
+the operator derivatives along them (first-derivative tables of the
+coefficients).  That is O(M) points per functional, with no step size and
+no second derivatives of the densities.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from .expr import as_expr, differentiate, evaluate_table
 from .system import SystemDef
 
 
-def _is_power_of_two(m):
-    return m >= 2 and (m & (m - 1)) == 0
+def _is_grid_size(m):
+    # on 2 points the spectral derivative is identically zero
+    return m >= 4 and (m & (m - 1)) == 0
 
 
 def _require_finite(values):
@@ -47,8 +48,8 @@ def _require_finite(values):
 class GridField:
     """N field components sampled on M uniform points of [0, 2*pi).
 
-    ``values`` has shape (N, M); M must be a power of two and all entries
-    finite.
+    ``values`` has shape (N, M); M must be a power of two of at least 4
+    and all entries finite.
     """
 
     values: np.ndarray
@@ -57,8 +58,9 @@ class GridField:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ShapeMismatchError("field values must be a (components, points) array")
-        if not _is_power_of_two(vals.shape[1]):
-            raise ValueError(f"grid size {vals.shape[1]} is not a power of two")
+        if not _is_grid_size(vals.shape[1]):
+            raise ValueError(
+                f"grid size {vals.shape[1]} is not a power of two of at least 4")
         _require_finite(vals)
         object.__setattr__(self, "values", vals)
 
@@ -100,14 +102,6 @@ class Functional:
         self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
         self._density_table = np.array(self.density, dtype=object)
         self._gradient_table = np.array(self.gradient, dtype=object)
-        # mixed partials commute, so the (q, r) entry is the (r, q) object
-        # and `evaluate_table` evaluates it once
-        n = len(self.coords)
-        self._hessian_table = np.empty((n, n), dtype=object)
-        for r, c in enumerate(self.coords):
-            for q in range(r, n):
-                self._hessian_table[r, q] = self._hessian_table[q, r] = (
-                    differentiate(self.gradient[q], c))
 
     def value(self, U: GridField) -> float:
         dens = evaluate_table(self._density_table, self.coords, {}, U.values.T)
@@ -124,13 +118,11 @@ class Functional:
                               np.swapaxes(values, -1, -2))
         return np.ascontiguousarray(np.swapaxes(grad, -1, -2))
 
-    def _hessian(self, values):
-        """Hessian of the density at fields (N, M), shape (M, N, N)."""
-        return evaluate_table(self._hessian_table, self.coords, {}, values.T)
-
 
 def random_polynomial_functional(coords, *, degree=3, seed=0) -> Functional:
     """Seeded random density with all monomials of degree 1..degree."""
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     rng = np.random.default_rng(seed)
     terms = []
     for d in range(1, degree + 1):
@@ -227,29 +219,27 @@ def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField) -> GridField:
 
 def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
                     H: Functional, U: GridField) -> float:
-    """|{{F,G},H} + {{G,H},F} + {{H,F},G}| at the given field.
+    """Olver's criterion at the given field: max(T, S).
 
-    Term k, {{F_k, F_{k+1}}, F_{k+2}}, is the exact derivative of the
-    discrete bracket {F_k, F_{k+1}} along the flow v = A(delta F_{k+2}):
+    A skew operator A is Hamiltonian if and only if its tri-vector
 
-        sum_x [(Hess f_k v).A(delta F_{k+1}) + delta F_k.dA[v](delta F_{k+1})
-               + delta F_k.A(Hess f_{k+1} v)] dx,
+        T = |sum_k sum_x delta F_k . dA[A(delta F_{k+2})](delta F_{k+1}) dx|
 
-    with dA[v] the derivative of the operator along v.  The three terms are
-    stacked on the batch axis of the operator core, which a residual calls
-    three times: for the flows, for dA and for A of the Hessian products.
+    vanishes, with dA[v] the derivative of the operator along v.  T is the
+    cyclic sum of {{F_k, F_{k+1}}, F_{k+2}} without the density Hessian
+    terms, which cancel in that sum when A is skew; so skewness is read too,
+    as S = max over j, k of |{F_j, F_k} + {F_k, F_j}| from the same flows.
+    The three functionals are stacked on the batch axis of the operator
+    core, which a residual calls twice: for the flows and for dA along them.
     """
-    funcs = (F, G, H)
-    grads = np.stack([f._variational(U.values) for f in funcs])
-    hess = np.stack([f._hessian(U.values) for f in funcs])
+    grads = np.stack([f._variational(U.values) for f in (F, G, H)])
     values = np.broadcast_to(U.values, grads.shape)
     flows = _operator(sys, values, grads)
     _require_finite(flows)
-    # term k reads F_k, F_{k+1} = F_nxt[k] and v_k = A(delta F_{k+2})
-    nxt, v = [1, 2, 0], flows[[2, 0, 1]]
-    hv, hv_next = (np.einsum("kxrq,kqx->krx", h, v) for h in (hess, hess[nxt]))
-    inner = _operator(sys, values, grads[nxt], along=v)
-    inner += _operator(sys, values, hv_next)
+    # term k reads F_k, F_{k+1} and the flow of F_{k+2}
+    inner = _operator(sys, values, grads[[1, 2, 0]], along=flows[[2, 0, 1]])
     _require_finite(inner)
-    total = np.sum(hv * flows[nxt]) + np.sum(grads * inner)
-    return float(abs(total) * U.dx)
+    trivector = abs(np.sum(grads * inner))
+    pairs = np.einsum("jnx,knx->jk", grads, flows)  # {F_j, F_k} / dx
+    skew = np.max(np.abs(pairs + pairs.T))
+    return float(max(trivector, skew) * U.dx)

@@ -351,6 +351,8 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
     _require_diagonal(sys)
     if sys.N != 2:
         raise ValueError("flow integration is implemented for two components")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
     box = sys.box
     r1 = np.linspace(box.lo[0], box.hi[0], resolution + 1)
     r2 = np.linspace(box.lo[1], box.hi[1], resolution + 1)
@@ -599,6 +601,8 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
     ------
     SeedOutOfBoxError
         If the seed R value lies outside the flow's coordinate box.
+    ValueError
+        If a window's two ends are equal (reversed windows are fine).
     """
     _require_diagonal(sys)
     if len(flow.coords) != sys.N:
@@ -610,6 +614,9 @@ def hodograph_solve(sys: SystemDef, flow: CommutingFlow, *, x_window, t_window,
     if not box.contains(seed):
         raise SeedOutOfBoxError(f"seed {seed} outside coordinate box "
                                 f"{box.lo}..{box.hi}")
+    for name, window in (("x_window", x_window), ("t_window", t_window)):
+        if window[0] == window[1]:
+            raise ValueError(f"{name} {tuple(window)} has equal ends")
 
     xs = np.linspace(x_window[0], x_window[1], nx)
     ts = np.linspace(t_window[0], t_window[1], nt)

@@ -86,6 +86,8 @@ def sample_box(box: Box, count: int):
     The same box and count always yield the same points, so residual sweeps
     and their witnesses are reproducible.
     """
+    if count < 1:
+        raise ValueError(f"samples must be at least 1, got {count}")
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     return lo + halton_points(count, box.dim) * (hi - lo)

@@ -666,6 +666,8 @@ def develop_flat_coords(sys: SystemDef, *, resolution: int = 64, basepoint=None,
         Chart values and gradients on the grid, the initial frame, the
         signature, and the pushed-metric and path-agreement residuals.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     box = sys.box
     nn = sys.N
     basepoint = tuple(box.center if basepoint is None else basepoint)

@@ -251,7 +251,7 @@ def test_jacobi_tol_zero_overrides_tol_jacobi(capsys):
     (["check", "--class", "mf", "sphere"],
      "67e754bffbee6ae698a466fd5ef5e8f940a98fc9f7e029c3e5d941bbc1819e7b"),
     (["jacobi", "polar_plane", "--seed", "0"],
-     "3bd2b468ec07a453b82ca621ddad98188222f2e4a7e44c692a80152ae8e5f619"),
+     "42ebabef5f3d7a7b569c1e03861d4ef902ab28b6abb282a6b704529f0af8fe57"),
 ])
 def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "report.json"
@@ -292,6 +292,16 @@ def test_tolerance_must_be_finite_and_positive(command, option, value, capsys):
     assert err.startswith("usage:")
     assert (f"argument {option}: must be a finite number above 0, got {value}"
             in err)
+
+
+def test_jacobi_grid_below_four_is_an_error(capsys):
+    # on 2 points the spectral derivative is identically zero, and every
+    # residual read 0
+    assert main(["jacobi", "sphere", "--grid", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: grid size 2 is not a power of two of at "
+                            "least 4\n")
 
 
 def test_hodograph_runs_at_the_smallest_grid(capsys):
@@ -455,6 +465,51 @@ def test_hodograph_scalar_example(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "x,t,R1,residual,converged"
 
 
+def builtin_doc(name):
+    return json.loads(library.path(name).read_text())
+
+
+@pytest.mark.parametrize("key", ["seed", "basepoint"])
+def test_hodograph_point_needs_one_entry_per_coordinate(tmp_path, capsys, key):
+    doc = builtin_doc("shallow_water_riemann")
+    doc["hodograph"][key] = [1.5]
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=rf"\$\.hodograph\.{key}: expected 2 "
+                                          "entries"):
+        cfgmod.load_config(path)
+    assert main(["hodograph", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: config invalid at "
+                            f"$.hodograph.{key}: expected 2 entries\n")
+
+
+@pytest.mark.parametrize("name, drop", [
+    ("shallow_water_riemann", None), ("hopf", "t_window"), ("hopf", "x_window")])
+def test_hodograph_lone_window_is_rejected(tmp_path, capsys, name, drop):
+    doc = builtin_doc(name)
+    if drop is None:
+        doc["hodograph"]["x_window"] = [0.0, 1.0]
+    else:
+        del doc["hodograph"][drop]
+    assert main(["hodograph", write_config(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("config invalid at $.hodograph: x_window and "
+                                 "t_window come as a pair\n")
+
+
+@pytest.mark.parametrize("key, window", [
+    ("x_window", [0.5, 0.5]), ("t_window", [0.1, 0.1])])
+def test_hodograph_window_with_equal_ends_is_an_error(tmp_path, capsys, key,
+                                                      window):
+    doc = builtin_doc("hopf")
+    doc["hodograph"][key] = window
+    assert main(["hodograph", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} {tuple(window)} has equal ends\n"
+
+
 def test_hodograph_refuses_incompatible_velocities(tmp_path, capsys):
     path = write_config(tmp_path, coupled_bad_doc())
     assert main(["hodograph", path]) == 2
@@ -508,6 +563,28 @@ def test_jacobi_exit_codes_of_the_bracket_examples(name, code, seed, capsys):
     assert "roundoff" not in out
 
 
+def scalar_bracket_doc(g, b, lo, hi):
+    return {"name": "scalar", "coords": ["u"], "g_upper": [[g]],
+            "b": [[[b]]], "box": {"min": [lo], "max": [hi]}}
+
+
+@pytest.mark.parametrize("doc, code", [
+    # not skew (b != g'/2): the cyclic sum alone reads at rounding level
+    (scalar_bracket_doc("u^2", "7*u^3", 0.5, 1.5), 2),
+    (scalar_bracket_doc("u^2", "u^2", 0.5, 1.5), 2),
+    (scalar_bracket_doc("u^2", "u", 0.5, 1.5), 0),
+    (scalar_bracket_doc("exp(u)", "exp(u)/2", -0.5, 0.5), 0),
+    # an ultralocal h must be skew as well
+    ({"name": "symmetric-h", "coords": ["U1", "U2"],
+      "g_upper": [["1", "0"], ["0", "1"]], "h_ultra": [["0", "1"], ["1", "0"]],
+      "box": {"min": [-1, -1], "max": [1, 1]}}, 2),
+], ids=["u2-7u3", "u2-u2", "u2-u", "exp", "symmetric-h"])
+def test_jacobi_fails_brackets_that_are_not_skew(tmp_path, capsys, doc, code):
+    assert main(["jacobi", write_config(tmp_path, doc)]) == code
+    out = capsys.readouterr().out
+    assert out.startswith("jacobi [pass]" if code == 0 else "jacobi [FAIL]")
+
+
 def test_jacobi_reports_are_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -542,6 +619,30 @@ def test_jacobi_without_a_bracket_is_an_error(name, capsys):
     assert captured.out == ""
     assert ("error: system declares no bracket (needs g_upper or h_ultra)"
             in captured.err)
+
+
+# --- exit-code contract ---------------------------------------------------------
+
+EXIT_CODES = {  # check, flat-coords, jacobi, hodograph
+    "canonical": (0, 0, 0, 1),
+    "epsilon3": (1, 1, 1, 1),
+    "hopf": (0, 0, 0, 0),
+    "polar_plane": (0, 0, 0, 1),
+    "shallow_water": (1, 1, 1, 1),
+    "shallow_water_riemann": (1, 1, 1, 0),
+    "so3": (1, 1, 0, 1),
+    "sphere": (0, 2, 2, 1),
+    "sphere_affinor": (0, 2, 2, 1),
+}
+
+
+def test_exit_codes_of_every_builtin(capsys):
+    assert sorted(EXIT_CODES) == ALL_EXAMPLES
+    got = {name: tuple(main(argv + [name]) for argv in (
+        ["check"], ["flat-coords", "--grid", "16"], ["jacobi", "--grid", "32"],
+        ["hodograph"])) for name in ALL_EXAMPLES}
+    capsys.readouterr()
+    assert got == EXIT_CODES
 
 
 # --- entry point ----------------------------------------------------------------

@@ -348,6 +348,8 @@ def test_marching_rejects_bad_setup():
                                     resolution=16)
     with pytest.raises(ValueError):
         hg.integrate_commuting_flow(epsilon_system(), "R1", "R2")
+    with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
+        hg.integrate_commuting_flow(sys, "R1", "R2", resolution=1)
 
 
 def test_singular_cell_solve_raises():
@@ -404,6 +406,25 @@ def test_seed_outside_coordinate_box_rejected():
         hg.hodograph_solve(hopf_system(), quadratic_scalar_flow(),
                            x_window=(0.5, 1.5), t_window=(0.0, 0.2),
                            nx=8, nt=5, seed=(5.0,))
+
+
+@pytest.mark.parametrize("x_window, t_window, name", [
+    ((0.5, 0.5), (0.0, 0.2), "x_window"), ((0.5, 1.5), (0.1, 0.1), "t_window")])
+def test_window_with_equal_ends_rejected(x_window, t_window, name):
+    with pytest.raises(ValueError, match=f"{name} .* has equal ends"):
+        hg.hodograph_solve(hopf_system(), quadratic_scalar_flow(),
+                           x_window=x_window, t_window=t_window,
+                           nx=8, nt=5, seed=(1.0,))
+
+
+def test_reversed_window_solves_the_same_points():
+    kwargs = dict(nx=16, nt=5, seed=(1.0,))
+    fwd = hg.hodograph_solve(hopf_system(), quadratic_scalar_flow(),
+                             x_window=(0.5, 1.5), t_window=(0.0, 0.2), **kwargs)
+    rev = hg.hodograph_solve(hopf_system(), quadratic_scalar_flow(),
+                             x_window=(1.5, 0.5), t_window=(0.0, 0.2), **kwargs)
+    assert rev.n_converged == rev.converged.size
+    assert np.max(np.abs(rev.R[:, ::-1] - fwd.R)) < 1e-10
 
 
 def solve_shallow_water(flow, nx=64, nt=17):

@@ -410,6 +410,21 @@ def test_flat_chart_rejects_outside_basepoint():
         verify.develop_flat_coords(canonical_system(), basepoint=(5.0, 5.0))
 
 
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_flat_chart_needs_one_cell_per_axis(resolution):
+    # resolution 0 used to return a one-node chart at the box corner
+    with pytest.raises(ValueError, match=f"resolution must be at least 1, got "
+                                         f"{resolution}"):
+        verify.develop_flat_coords(polar_pair_system(), resolution=resolution)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_classify_needs_one_sample(samples):
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got "
+                                         f"{samples}"):
+        verify.classify(sphere_system(), samples=samples)
+
+
 # --- classify and reports ---------------------------------------------------------
 
 def test_classify_prefers_most_restrictive_class():
