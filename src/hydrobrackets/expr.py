@@ -17,16 +17,25 @@ batch; it is the one path by which the other modules evaluate expressions.
 `compile_table` value-numbers a table once, so that `evaluate_table`
 evaluates each subexpression its entries share once per batch; `tensor`
 compiles the tables a system owns.
+
+Derivatives come two ways from one set of rules (`_rule`).
+`differentiate` builds the derivative tree, for a functional's gradient,
+for `hodograph`'s symbolic tables and as the oracle of the tests.  The
+tables of a system need numbers, not trees: `tensor` evaluates the jets of
+a compiled table (`_jet_table`) in the executor `evaluate_table` uses,
+which carries each value with its derivatives in every coordinate through
+one pass, folding constants as `differentiate` folds them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
+import operator
 import re
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -386,77 +395,81 @@ def as_expr(entry, symbols, what) -> Expr:
 
 # --- differentiation -------------------------------------------------------
 
-@functools.singledispatch
-def _diff(e, var):
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+def _op(e):
+    """The operator of a non-leaf node: its class, or a call's function name."""
+    return e.func if isinstance(e, Call) else type(e)
 
 
-@_diff.register
-def _(e: Number, var):
-    return Number(0.0)
+def _children(e):
+    if isinstance(e, (Neg, Call)):
+        return (e.operand,)
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    return ()
 
 
-@_diff.register
-def _(e: Name, var):
-    return Number(1.0 if e.name == var else 0.0)
+def _rule(o, op, args, dargs, value):
+    """Derivative of a node with operator ``op``, in the arithmetic ``o``.
 
-
-@_diff.register
-def _(e: Neg, var):
-    return -_diff(e.operand, var)
-
-
-@_diff.register
-def _(e: Add, var):
-    return _diff(e.left, var) + _diff(e.right, var)
-
-
-@_diff.register
-def _(e: Sub, var):
-    return _diff(e.left, var) - _diff(e.right, var)
-
-
-@_diff.register
-def _(e: Mul, var):
-    return _diff(e.left, var) * e.right + e.left * _diff(e.right, var)
-
-
-@_diff.register
-def _(e: Div, var):
-    du, dv = _diff(e.left, var), _diff(e.right, var)
-    return (du * e.right - e.left * dv) / (e.right * e.right)
-
-
-@_diff.register
-def _(e: Pow, var):
-    db = _diff(e.base, var)
-    if isinstance(e.exponent, Number):
-        n = e.exponent.value
-        return _coerce(n) * _fold_pow(e.base, Number(n - 1.0)) * db
-    de = _diff(e.exponent, var)
-    # general rule d(u^v) = u^v (v' log u + v u'/u), defined for u > 0
-    return e * (de * Call("log", e.base) + e.exponent * db / e.base)
-
-
-@_diff.register
-def _(e: Call, var):
-    u, du = e.operand, _diff(e.operand, var)
-    if e.func == "sin":
-        return Call("cos", u) * du
-    if e.func == "cos":
-        return -(Call("sin", u) * du)
-    if e.func == "tan":
-        return du / (Call("cos", u) * Call("cos", u))
-    if e.func == "exp":
-        return Call("exp", u) * du
-    if e.func == "log":
-        return du / u
-    if e.func == "sqrt":
-        return du / (_coerce(2.0) * Call("sqrt", u))
-    if e.func == "abs":
+    ``args`` are the operands, ``dargs`` their derivatives and ``value``
+    the node itself.  `differentiate` runs the rule over expression trees
+    (``o`` folds constants and builds nodes); jets run it over values (``o``
+    folds the same constants and evaluates; ``value`` is the node's value),
+    so both take the same branches.
+    """
+    if op is Neg:
+        return o.neg(dargs[0])
+    if op is Add:
+        return o.add(*dargs)
+    if op is Sub:
+        return o.sub(*dargs)
+    if op in (Mul, Div, Pow):
+        (a, b), (da, db) = args, dargs
+        if op is Mul:
+            return o.add(o.mul(da, b), o.mul(a, db))
+        if op is Div:
+            return o.div(o.sub(o.mul(da, b), o.mul(a, db)), o.mul(b, b))
+        if o.is_zero(db):
+            # power rule: the exponent is constant in the variable
+            return o.mul(o.mul(b, o.pow(a, o.sub(b, o.num(1.0)))), da)
+        # general rule d(u^v) = u^v (v' log u + v u'/u), defined for u > 0
+        return o.mul(value, o.add(o.mul(db, o.call("log", a)), o.div(o.mul(b, da), a)))
+    (u,), (du,) = args, dargs
+    if op == "sin":
+        return o.mul(o.call("cos", u), du)
+    if op == "cos":
+        return o.neg(o.mul(o.call("sin", u), du))
+    if op == "tan":
+        c = o.call("cos", u)
+        return o.div(du, o.mul(c, c))
+    if op == "exp":
+        return o.mul(value, du)
+    if op == "log":
+        return o.div(du, u)
+    if op == "sqrt":
+        return o.div(du, o.mul(o.num(2.0), value))
+    if op == "abs":
         # derivative of |u| away from u = 0; evaluation at 0 raises DomainError
-        return (u / Call("abs", u)) * du
-    raise TypeError(f"no derivative rule for '{e.func}'")
+        return o.mul(o.div(u, value), du)
+    raise TypeError(f"no derivative rule for '{op}'")
+
+
+_SYMBOLIC = SimpleNamespace(
+    add=_fold_add, sub=_fold_sub, mul=_fold_mul, div=_fold_div, pow=_fold_pow,
+    neg=_fold_neg, call=Call, num=Number, is_zero=lambda e: _is_const(e, 0.0))
+
+
+def _diff(e, var):
+    if isinstance(e, Number):
+        return Number(0.0)
+    if isinstance(e, Name):
+        return Number(1.0 if e.name == var else 0.0)
+    kids = _children(e)
+    if not kids:
+        raise TypeError(f"cannot differentiate {type(e).__name__}")
+    return _rule(_SYMBOLIC, _op(e), kids, [_diff(k, var) for k in kids], e)
 
 
 def differentiate(e: Expr, var: str) -> Expr:
@@ -471,79 +484,73 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 # --- evaluation ------------------------------------------------------------
 
-@functools.singledispatch
-def _eval(e, env):
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
-
-
-@_eval.register
-def _(e: Number, env):
-    return e.value
-
-
-@_eval.register
-def _(e: Name, env):
-    try:
-        return env[e.name]
-    except KeyError:
-        raise UnknownSymbolError(e.name) from None
-
-
-@_eval.register
-def _(e: Neg, env):
-    return -_eval(e.operand, env)
-
-
-@_eval.register
-def _(e: Add, env):
-    return _eval(e.left, env) + _eval(e.right, env)
-
-
-@_eval.register
-def _(e: Sub, env):
-    return _eval(e.left, env) - _eval(e.right, env)
-
-
-@_eval.register
-def _(e: Mul, env):
-    return _eval(e.left, env) * _eval(e.right, env)
-
-
-@_eval.register
-def _(e: Div, env):
-    num, den = _eval(e.left, env), _eval(e.right, env)
-    if np.any(np.asarray(den) == 0.0):
-        raise DomainError("division by zero", e)
+def _divide(num, den):
+    if not np.all(den):
+        raise DomainError("division by zero")
     return num / den
 
 
-@_eval.register
-def _(e: Pow, env):
-    base, expo = _eval(e.base, env), _eval(e.exponent, env)
+def _power(base, expo):
     b, x = np.asarray(base, dtype=float), np.asarray(expo, dtype=float)
-    integral = x == np.floor(x)
-    if np.any(~integral & (b <= 0.0)) or np.any(integral & (x < 0.0) & (b == 0.0)):
-        raise DomainError("power outside domain", e)
+    if x.ndim == 0:
+        # one exponent: a nonnegative integer one has no domain to check
+        x = float(x)
+        if x != float(np.floor(x)):
+            bad = np.any(b <= 0.0)
+        else:
+            bad = x < 0.0 and np.any(b == 0.0)
+    else:
+        integral = x == np.floor(x)
+        bad = np.any(~integral & (b <= 0.0)) or np.any(integral & (x < 0.0) & (b == 0.0))
+    if bad:
+        raise DomainError("power outside domain")
     return np.power(base, expo)
 
 
-@_eval.register
-def _(e: Call, env):
-    v = _eval(e.operand, env)
-    if e.func == "log":
-        if np.any(np.asarray(v) <= 0.0):
-            raise DomainError("log of non-positive value", e)
-        return np.log(v)
-    if e.func == "sqrt":
-        if np.any(np.asarray(v) < 0.0):
-            raise DomainError("sqrt of negative value", e)
-        return np.sqrt(v)
-    if e.func == "abs":
-        return np.abs(v)
-    return _NUMPY_FUNCS[e.func](v)
+def _log(v):
+    if np.any(np.asarray(v) <= 0.0):
+        raise DomainError("log of non-positive value")
+    return np.log(v)
 
 
-_NUMPY_FUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp}
+def _sqrt(v):
+    if np.any(np.asarray(v) < 0.0):
+        raise DomainError("sqrt of negative value")
+    return np.sqrt(v)
+
+
+# the arithmetic of every operator, for `evaluate` and for jets alike; each
+# raises a DomainError without a subexpression outside its domain
+_PRIMITIVES = {
+    Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+    Div: _divide, Pow: _power, "log": _log, "sqrt": _sqrt, "abs": np.abs,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+}
+
+
+def _eval(e, env):
+    kind = type(e)
+    if kind is Number:
+        return e.value
+    if kind is Name:
+        try:
+            return env[e.name]
+        except KeyError:
+            raise UnknownSymbolError(e.name) from None
+    if kind is Call:
+        op, args = e.func, (_eval(e.operand, env),)
+    elif kind is Neg:
+        op, args = Neg, (_eval(e.operand, env),)
+    elif kind is Pow:
+        op, args = Pow, (_eval(e.base, env), _eval(e.exponent, env))
+    elif kind in (Add, Sub, Mul, Div):
+        op, args = kind, (_eval(e.left, env), _eval(e.right, env))
+    else:
+        raise TypeError(f"cannot evaluate {kind.__name__}")
+    try:
+        return _PRIMITIVES[op](*args)
+    except DomainError as err:
+        raise DomainError(str(err), e) from None
 
 
 def evaluate(e: Expr, env) -> float | np.ndarray:
@@ -565,6 +572,211 @@ def evaluate(e: Expr, env) -> float | np.ndarray:
     return _eval(e, env)
 
 
+# --- jets ------------------------------------------------------------------
+#
+# A jet of order k is a value and its derivatives in every coordinate up to
+# order k (Griewank & Walther, "Evaluating Derivatives", 2008, ch. 13),
+# nested: ``_Jet(v, d)`` holds a jet of order k - 1 of the value and one of
+# the derivative stack, whose rows are the coordinates.  At order K the
+# level-0 arrays have shape (1,)*K + (P,), and level j stacks its rows on
+# axis j - 1, so the products of the rules broadcast into outer products.
+# Each level applies `_rule` with `_JETS`, which folds exactly where the
+# expression folds of `differentiate` do: a Python float is a `Number`,
+# `_Rows` a stack of `Number`s (a coordinate's derivative is one-hot), and
+# every other value is a node.  A derivative that leaves its domain becomes
+# a `_Pending` error, raised only if it survives the folds, as evaluating
+# the folded symbolic derivative would raise it.  The rows of a stack take
+# one branch of each rule together, where `differentiate` chooses per
+# coordinate; only the power rule's branch depends on the coordinate.  So
+# where an exponent varies with some coordinates and not others, the jets
+# take the general rule in every row.  The two agree there to rounding and
+# raise at the same points, except where a power underflows to a subnormal
+# or to zero.
+
+
+class _Jet:
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+
+class _Rows:
+    """Constants, one per row of a derivative stack; never all zero."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
+class _Pending:
+    """A derivative outside its domain: the message, and the node whose rule
+    met it (set by `_jet`)."""
+
+    __slots__ = ("message", "expr")
+
+    def __init__(self, message):
+        self.message, self.expr = message, None
+
+
+def _numeric(x):
+    return type(x) is float or type(x) is _Rows
+
+
+def _const(x, v):
+    return type(x) is float and x == v
+
+
+def _unwrap(x):
+    return x.rows if type(x) is _Rows else x
+
+
+def _numbers(fn, a, b):
+    """``fn`` over two constants, kept a constant: `_fold_*` on `Number`s."""
+    if type(a) is float and type(b) is float:
+        return fn(a, b)
+    rows = fn(_unwrap(a), _unwrap(b))
+    return _Rows(rows) if np.count_nonzero(rows) else 0.0
+
+
+def _node(op, *args):
+    """A node of ``op`` over ``args``, evaluated with its derivatives."""
+    kinds = [type(a) for a in args]
+    if _Pending in kinds:
+        return args[kinds.index(_Pending)]
+    if _Jet not in kinds:
+        try:
+            value = _PRIMITIVES[op](*[a.rows if k is _Rows else a
+                                      for a, k in zip(args, kinds)])
+        except DomainError as err:
+            return _Pending(str(err))
+        # a node's value is never a Number, so it is never folded
+        return np.float64(value) if type(value) is float else value
+    values = [a.v if k is _Jet else a for a, k in zip(args, kinds)]
+    v = _node(op, *values)
+    if type(v) is _Pending:
+        return v
+    dargs = [a.d if k is _Jet else 0.0 for a, k in zip(args, kinds)]
+    return _Jet(v, _rule(_JETS, op, values, dargs, v))
+
+
+def _jadd(a, b):
+    if _const(a, 0.0):
+        return b
+    if _const(b, 0.0):
+        return a
+    if _numeric(a) and _numeric(b):
+        return _numbers(operator.add, a, b)
+    return _node(Add, a, b)
+
+
+def _jsub(a, b):
+    if _const(b, 0.0):
+        return a
+    if _numeric(a) and _numeric(b):
+        return _numbers(operator.sub, a, b)
+    if _const(a, 0.0):
+        return _jneg(b)
+    return _node(Sub, a, b)
+
+
+def _jmul(a, b):
+    if _const(a, 0.0) or _const(b, 0.0):
+        return 0.0
+    if _const(a, 1.0):
+        return b
+    if _const(b, 1.0):
+        return a
+    if _numeric(a) and _numeric(b):
+        return _numbers(operator.mul, a, b)
+    return _node(Mul, a, b)
+
+
+def _jdiv(a, b):
+    if _const(a, 0.0):
+        return 0.0
+    if _const(b, 1.0):
+        return a
+    if _numeric(a) and type(b) is float and b != 0.0:
+        return _numbers(operator.truediv, a, b)
+    return _node(Div, a, b)
+
+
+def _jpow(a, b):
+    if _const(b, 1.0):
+        return a
+    if _const(b, 0.0) or _const(a, 1.0):
+        return 1.0
+    if type(a) is float and type(b) is float and (a > 0.0 or b.is_integer()):
+        with np.errstate(all="ignore"):
+            value = float(np.power(a, b))
+        if math.isfinite(value):
+            return value
+    return _node(Pow, a, b)
+
+
+def _jneg(a):
+    if type(a) is float:
+        return -a
+    if type(a) is _Rows:
+        return _Rows(-a.rows)
+    return _node(Neg, a)
+
+
+_JETS = SimpleNamespace(
+    add=_jadd, sub=_jsub, mul=_jmul, div=_jdiv, pow=_jpow, neg=_jneg,
+    call=_node, num=float, is_zero=lambda x: _const(x, 0.0))
+
+
+def _claim(x, e):
+    """Name ``e`` in the pending errors its rule made."""
+    if type(x) is _Jet:
+        _claim(x.v, e)
+        _claim(x.d, e)
+    elif type(x) is _Pending and x.expr is None:
+        x.expr = e
+
+
+def _jet(e, env):
+    """The jet of ``e``; a value outside its domain raises as in `evaluate`."""
+    if isinstance(e, Number):
+        return float(e.value)
+    if isinstance(e, Name):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise UnknownSymbolError(e.name) from None
+    out = _node(_op(e), *[_jet(k, env) for k in _children(e)])
+    if type(out) is _Pending:
+        raise DomainError(out.message, e)
+    _claim(out, e)
+    return out
+
+
+def _seed(x, r, n, order):
+    """Coordinate ``r`` of ``n`` with values ``x`` (shape (P,)) as a jet."""
+    jet = x.reshape((1,) * order + x.shape)
+    for level in range(order):
+        hot = np.zeros((1,) * level + (n,) + (1,) * (order - level))
+        hot[(0,) * level + (r,)] = 1.0
+        jet = _Jet(jet, _Rows(hot))
+    return jet
+
+
+def _parts(x, order):
+    """The value and derivative arrays of a jet of ``order``, innermost
+    first; raises the `_Pending` errors that survived."""
+    if type(x) is _Pending:
+        raise DomainError(f"derivative: {x.message}", x.expr)
+    if order == 0:
+        return [_unwrap(x)]
+    v, d = (x.v, x.d) if type(x) is _Jet else (x, 0.0)
+    return _parts(v, order - 1) + _parts(d, order - 1)[order - 1:]
+
+
+# --- tables ----------------------------------------------------------------
+
 def evaluate_table(exprs, names, params, pts) -> np.ndarray:
     """Values of the object array ``exprs`` over a batch of points.
 
@@ -582,16 +794,47 @@ def evaluate_table(exprs, names, params, pts) -> np.ndarray:
     that read the values report them as non-finite residuals with a
     witness.
     """
+    return _jet_table(exprs, names, params, pts, 0)[0]
+
+
+def _jet_table(exprs, names, params, pts, order):
+    """`evaluate_table` with the coordinate derivatives up to ``order``.
+
+    Returns ``[values, d1, ...]``, where ``d_j`` has shape
+    ``pts.shape[:-1] + (len(names),) * j + exprs.shape``.  ``d2`` is
+    symmetric: its ``[r, q]`` and ``[q, r]`` entries, ``r <= q``, both hold
+    the derivative in ``names[q]``, then in ``names[r]``.  One jet pass over
+    the table: the values agree bitwise with `evaluate_table`, the
+    derivatives with evaluating `differentiate` of each entry (applied in
+    either order for a mixed partial), and a derivative raises
+    `DomainError` (``derivative: ...``, naming the node whose rule met it)
+    where that evaluation would; see the jets section for the exception.
+    """
     pts = np.asarray(pts, dtype=float)
+    batch, n = pts.shape[:-1], len(names)
+    cols = pts.reshape(math.prod(batch), n).T
     env = dict(params)
-    env.update((c, pts[..., i]) for i, c in enumerate(names))
-    batch = pts.shape[:-1]
+    if order:
+        # a parameter is a node, not a Number: no fold may drop it
+        env = {k: np.float64(v) if type(v) is float else v for k, v in env.items()}
+        env.update((c, _seed(np.ascontiguousarray(cols[i]), i, n, order))
+                   for i, c in enumerate(names))
+    else:
+        env.update((c, cols[i]) for i, c in enumerate(names))
+    count, tables = cols.shape[1], None
     if isinstance(exprs, _Compiled):
         try:
-            return _run(exprs.steps, exprs.exprs.shape, dict(env), batch)
+            tables = _run(exprs.steps, exprs.exprs.size, dict(env), count, order, n)
         except DomainError:
-            exprs = exprs.exprs
-    return _run(_entry_steps(exprs), exprs.shape, env, batch)
+            pass
+        exprs = exprs.exprs
+    if tables is None:
+        tables = _run(_entry_steps(exprs), exprs.size, env, count, order, n)
+    if order > 1:
+        # one value for both mixed partials, the one of the symbolic table
+        r, q = np.triu_indices(n, 1)
+        tables[2][:, q, r] = tables[2][:, r, q]
+    return [t.reshape(batch + (n,) * j + exprs.shape) for j, t in enumerate(tables)]
 
 
 def _entry_steps(exprs):
@@ -606,21 +849,33 @@ def _entry_steps(exprs):
     return steps
 
 
-def _run(steps, shape, env, batch):
+def _run(steps, size, env, count, order, n):
     """The one executor: each step ``(expr, temporary, columns, dead)``
-    evaluates ``expr``, binds it to ``temporary`` (if any), writes it to the
-    flat entry ``columns`` and drops the ``dead`` temporaries."""
-    out = np.empty(batch + (math.prod(shape),))
+    evaluates ``expr`` (its jet, if ``order`` > 0), binds it to
+    ``temporary`` (if any), writes it to the flat entry ``columns`` of each
+    table and drops the ``dead`` temporaries.  Table ``j`` has shape
+    ``(count,) + (n,) * j + (1,) * (order - j) + (size,)``: the layout of
+    the jet's part ``j`` with the points first and the entries last."""
+    outs = [np.zeros((count,) + (n,) * j + (1,) * (order - j) + (size,))
+            for j in range(order + 1)]
+    # each part's layout: the derivative axes, the points, the entries
+    views = [out.transpose(tuple(range(1, out.ndim - 1)) + (0, out.ndim - 1))
+             for out in outs]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for e, temporary, columns, dead in steps:
-            value = evaluate(e, env)
+            value = _jet(e, env) if order else evaluate(e, env)
             if temporary is not None:
                 env[temporary] = value
-            for k in columns:
-                out[..., k] = value
+            if columns:
+                parts = _parts(value, order) if order else [value]
+                for view, part in zip(views, parts):
+                    if type(part) is float and part == 0.0 and math.copysign(1.0, part) > 0:
+                        continue        # the tables start at +0.0
+                    for k in columns:
+                        view[..., k] = part
             for name in dead:
                 del env[name]
-    return out.reshape(batch + shape)
+    return outs
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,16 +884,6 @@ class _Compiled:
 
     exprs: np.ndarray
     steps: list
-
-
-def _children(e):
-    if isinstance(e, (Neg, Call)):
-        return (e.operand,)
-    if isinstance(e, Pow):
-        return (e.base, e.exponent)
-    if isinstance(e, (Number, Name)):
-        return ()
-    return (e.left, e.right)
 
 
 def _label(e):

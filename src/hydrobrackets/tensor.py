@@ -1,42 +1,44 @@
 """Pointwise tensor evaluation for declared systems.
 
-Everything here evaluates exactly at sample points: entries and their first
-and second derivatives come from symbolic differentiation of the declared
-expressions, and matrix-level quantities (inverse metric derivatives,
-connection coefficients, curvature) are assembled from closed identities.
-No finite differences are used.
+Everything here evaluates exactly at sample points: entries come from the
+declared expressions, their first and second derivatives from forward-mode
+jets (truncated Taylor arithmetic) over the same compiled tables, and
+matrix-level quantities (inverse metric derivatives, connection
+coefficients, curvature) are assembled from closed identities.  No
+finite differences are used, and no derivative expression is built.
 
 The tensor functions (suffix ``_at``) take a batch of points with shape
 ``(P, N)`` and return arrays with a leading ``P`` axis; a single point of
 shape ``(N,)`` is a batch of one.  `table_at` and `table_d1_at` evaluate
 any object array of expressions, or its exact first derivatives, over a
-point batch; other modules use them for their own tables.  `table_at`
-delegates to `expr.evaluate_table`, and so evaluates every table here, the
-geometry pass's included.  Each table a system owns (a declared field, or
-a derivative table built from one) is compiled once per system with
+point batch; other modules use them for their own tables.  Each table a
+system owns (a declared field) is compiled once per system with
 `expr.compile_table`, so a subexpression its entries share, such as the
 conformal factor of a diagonal metric, is evaluated once per batch.
+`table_at` evaluates the compiled form with `expr.evaluate_table`;
+`table_d1_at` and the geometry pass run its jets in the same executor,
+which gives the values bitwise as `table_at` does and the derivatives that
+evaluating `expr.differentiate` of each entry gives.
 
 Geometry pass: the metric-derived tensors come from one evaluation per
-point batch (`_geometry`).  It evaluates the ``g_upper`` table once,
-inverts it once under the singularity guard, evaluates the first-derivative
-tables, and the second-derivative table only when the connection
-derivative (so the curvature) is asked for, then assembles the connection
-and its derivative.  `christoffel_at`, `christoffel_d1_at`,
-`levi_civita_at`, `riemann_at` and `riemann_raised_at` are views of that
-pass; `christoffel_at` stays first order, as the flat-coordinate
-transport evaluates it at every Runge-Kutta stage position.  Products are contracted pairwise
-with ``matmul`` (never an einsum of three or more operands), so the
-curvature costs O(P N^5) arithmetic, and 5-index temporaries are dropped
-as soon as they are used.
+point batch (`_geometry`).  It evaluates the jets of the ``g_upper`` table
+once, to first order, or to second order when the derivative of a
+Levi-Civita connection (so the curvature) is asked for, inverts the values
+once under the singularity guard, then assembles the connection and its
+derivative.  `christoffel_at`, `levi_civita_at` and `riemann_raised_at`
+are views of that pass; `christoffel_at` stays first order, as the
+flat-coordinate transport evaluates it at every Runge-Kutta stage
+position.  Products are contracted pairwise with ``matmul`` (never an
+einsum of three or more operands), so the curvature costs O(P N^5)
+arithmetic, and 5-index temporaries are dropped as soon as they are used.
 
 Index layout conventions, writing ``n, t`` for upper and ``m, l, s, r`` for
 lower indices:
 
 - ``christoffel_at[p, n, m, l]`` is the connection coefficient with upper
   index ``n`` acting on lower pair ``(m, l)``;
-- ``riemann_at[p, n, t, m, l]`` is the curvature with one upper index;
-- ``riemann_raised_at[p, n, t, m, l]`` has the second index raised;
+- ``riemann_raised_at[p, n, t, m, l]`` is the curvature ``R^n_{tml}`` with
+  its second index raised by the metric;
 - ``b`` entries follow the declaration order ``b[s][n][l]``.
 """
 
@@ -46,17 +48,17 @@ import warnings
 
 import numpy as np
 
-from .errors import DegenerateHyperbolicityWarning, SingularMetricError
-from .expr import Number, compile_table
+from .errors import DegenerateHyperbolicityWarning, DomainError, SingularMetricError
+from .expr import Number, _jet_table, compile_table, evaluate_table
 # not called here: perfbench/selftest.py checks the tracer wraps tensor.evaluate
-from .expr import differentiate, evaluate, evaluate_table  # noqa: F401
+from .expr import evaluate  # noqa: F401
 from .system import SystemDef
 
 DET_FLOOR = 1e-300
 COND_CEILING = 1e12
 
 
-# --- memoized symbolic derivative tables -------------------------------------
+# --- compiled tables ---------------------------------------------------------
 
 def _memo(sys, key, build):
     if key not in sys._memo:
@@ -64,38 +66,14 @@ def _memo(sys, key, build):
     return sys._memo[key]
 
 
-def _d1_table(sys: SystemDef, exprs):
-    """Object array of ``d exprs / dU^r`` with a leading coordinate axis.
+def _compiled(sys: SystemDef, exprs):
+    """The `expr.compile_table` form of ``exprs``, built once per system.
 
-    Built once per system and expression array.  The memo is keyed by the
-    identity of ``exprs`` and keeps ``exprs`` alive, so a cached identity
-    is never reused by another array.
+    The memo is keyed by the identity of ``exprs`` and keeps ``exprs``
+    alive, so a cached identity is never reused by another array.
     """
-    def build():
-        out = np.empty((sys.N,) + exprs.shape, dtype=object)
-        for r, c in enumerate(sys.coords):
-            for idx in np.ndindex(*exprs.shape):
-                out[(r,) + idx] = differentiate(exprs[idx], c)
-        return exprs, out
-    return _memo(sys, ("d1", id(exprs)), build)[1]
-
-
-def _d2_table(sys: SystemDef, exprs):
-    """Object array of ``d^2 exprs / dU^r dU^q``, two leading coordinate axes.
-
-    Mixed partials commute, so the ``(q, r)`` entry is the same expression
-    object as the ``(r, q)`` one.
-    """
-    def build():
-        d1 = _d1_table(sys, exprs)
-        out = np.empty((sys.N,) + d1.shape, dtype=object)
-        for r, c in enumerate(sys.coords):
-            for q in range(r, sys.N):
-                for idx in np.ndindex(*exprs.shape):
-                    out[(r, q) + idx] = out[(q, r) + idx] = differentiate(
-                        d1[(q,) + idx], c)
-        return exprs, out
-    return _memo(sys, ("d2", id(exprs)), build)[1]
+    return _memo(sys, ("compiled", id(exprs)),
+                 lambda: (exprs, compile_table(exprs)))[1]
 
 
 def _points(sys, pts):
@@ -116,19 +94,22 @@ def table_at(sys: SystemDef, exprs, pts):
     `expr.evaluate_table`.
     """
     pts = _points(sys, pts)
-    compiled = _memo(sys, ("compiled", id(exprs)),
-                     lambda: (exprs, compile_table(exprs)))[1]
-    return evaluate_table(compiled, sys.coords, sys.params, pts)
+    return evaluate_table(_compiled(sys, exprs), sys.coords, sys.params, pts)
+
+
+def _jets(sys, exprs, pts, order):
+    """``[values, d1, ...]`` of ``exprs`` up to ``order`` in one jet pass."""
+    return _jet_table(_compiled(sys, exprs), sys.coords, sys.params, pts, order)
 
 
 def table_d1_at(sys: SystemDef, exprs, pts):
     """Exact coordinate derivatives of ``exprs`` over a point batch.
 
     Returns shape ``(P, N) + exprs.shape`` with the differentiation
-    coordinate on axis 1.  The symbolic table is built once per system and
-    expression array, so pass an array the caller keeps (a system field).
+    coordinate on axis 1, from the jets of the compiled table.  The memo is
+    keyed by identity, as for `table_at`.
     """
-    return table_at(sys, _d1_table(sys, exprs), pts)
+    return _jets(sys, exprs, _points(sys, pts), 1)[1]
 
 
 # --- pairwise contractions -----------------------------------------------------
@@ -222,32 +203,36 @@ def _lower_d2(lower, upper_d1, l1, upper_d2):
 def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
     """One pass over a point batch: ``(g_upper values, connection, derivative)``.
 
-    Evaluates the ``g_upper`` table once and inverts it under the
-    singularity guard.  The connection comes from the declared ``b`` unless
-    ``levi_civita`` is set or no ``b`` is declared.  Derivative tables are
-    evaluated only as far as the result needs: the second derivatives of
-    ``g_upper`` only for the derivative of a Levi-Civita connection.  The
-    derivative is ``None`` unless ``derivative`` is set, with layout
-    ``[p, r, n, m, l] = d_r Gamma^n_{ml}``.
+    Evaluates the jets of the ``g_upper`` table once, to the order the
+    result needs: values only for a declared connection, first derivatives
+    for its derivative or for a Levi-Civita connection, second derivatives
+    only for the derivative of a Levi-Civita connection.  It inverts the
+    values under the singularity guard; a singular metric is reported
+    before a derivative outside its domain, as when the values came alone.
+    The connection comes from the declared ``b`` unless ``levi_civita`` is
+    set or no ``b`` is declared.  The derivative is ``None`` unless
+    ``derivative`` is set, with layout ``[p, r, n, m, l] = d_r Gamma^n_{ml}``.
     """
     if sys.g_upper is None:
         raise ValueError("system declares no metric")
     pts = _points(sys, pts)
-    upper = table_at(sys, sys.g_upper, pts)
-    lower = _guarded_inverse(sys, upper, pts)
     declared = sys.b is not None and not levi_civita
+    order = int(derivative) + int(not declared)
+    try:
+        upper, *upper_d = _jets(sys, sys.g_upper, pts, order)
+    except DomainError:
+        _guarded_inverse(sys, table_at(sys, sys.g_upper, pts), pts)
+        raise
+    lower = _guarded_inverse(sys, upper, pts)
     if declared:
         # Gamma^n_{ml} = -g_{ms} b^{sn}_l
-        b = table_at(sys, sys.b, pts)
+        b, *b_d = _jets(sys, sys.b, pts, order)
         gamma = np.swapaxes(_apply(-lower, b, 1), 1, 2)
         if not derivative:
             return upper, gamma, None
-    upper_d1 = table_d1_at(sys, sys.g_upper, pts)
-    l1 = _lower_d1(lower, upper_d1)
+    l1 = _lower_d1(lower, upper_d[0])
     if declared:
-        b1 = table_d1_at(sys, sys.b, pts)
-        gamma_d1 = _apply(lower[:, None], b1, 2)
-        del b1
+        gamma_d1 = _apply(lower[:, None], b_d[0], 2)
         gamma_d1 += _apply(l1, b[:, None], 2)
         np.negative(gamma_d1, out=gamma_d1)
         return upper, gamma, np.swapaxes(gamma_d1, 2, 3)
@@ -257,9 +242,9 @@ def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
     gamma = 0.5 * _apply(upper, s, 1)
     if not derivative:
         return upper, gamma, None
-    upper_d2 = table_at(sys, _d2_table(sys, sys.g_upper), pts)
+    upper_d1, upper_d2 = upper_d
     l2 = _lower_d2(lower, upper_d1, l1, upper_d2)
-    del upper_d2
+    del upper_d, upper_d2
     s1 = np.transpose(l2, (0, 1, 3, 2, 4)) + np.transpose(l2, (0, 1, 3, 4, 2))
     s1 -= l2
     del l2
@@ -304,17 +289,6 @@ def levi_civita_at(sys: SystemDef, pts):
 def christoffel_at(sys: SystemDef, pts):
     """Connection coefficients: from ``b`` when declared, else Levi-Civita."""
     return _geometry(sys, pts)[1]
-
-
-def christoffel_d1_at(sys: SystemDef, pts):
-    """``[p, r, n, m, l] = d_r Gamma^n_{ml}`` of the `christoffel_at` connection."""
-    return _geometry(sys, pts, derivative=True)[2]
-
-
-def riemann_at(sys: SystemDef, pts):
-    """Curvature ``R^n_{tml}`` of the connection used by `christoffel_at`."""
-    _, gamma, gamma_d1 = _geometry(sys, pts, derivative=True)
-    return _riemann(gamma, gamma_d1)
 
 
 def riemann_raised_at(sys: SystemDef, pts):

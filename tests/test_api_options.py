@@ -52,7 +52,6 @@ PUBLIC_OPTIONS = {
     "hodograph.verify_solution": (),
     "tensor.b_at": (),
     "tensor.christoffel_at": (),
-    "tensor.christoffel_d1_at": (),
     "tensor.h_ultra_at": (),
     "tensor.hantjes_at": (),
     "tensor.levi_civita_at": (),
@@ -63,7 +62,6 @@ PUBLIC_OPTIONS = {
     "tensor.operator_d1_at": (),
     "tensor.pairwise_gaps": (),
     "tensor.point_at": (),
-    "tensor.riemann_at": (),
     "tensor.riemann_raised_at": (),
     "tensor.table_at": (),
     "tensor.table_d1_at": (),

@@ -7,7 +7,9 @@ per-gradient `evaluate` loop of `Functional`, and the scalar closed-form
 bitwise, not just to rounding, because it performs the same `evaluate`
 arithmetic on the same values; a compiled table (`expr.compile_table`,
 which `tensor.table_at` uses for a system's tables) only evaluates each
-shared subexpression once.
+shared subexpression once.  The derivative tables of a system come from
+jets over the same compiled table; their oracle is the per-entry loop over
+`differentiate`d tables, to 1e-12 relative.
 """
 
 import ast
@@ -135,6 +137,37 @@ GENERATED = [pytest.param(generated_metric(n, seed), id=f"generated-{n}-s{seed}"
 
 # --- tables ----------------------------------------------------------------------
 
+def symbolic_d1(sys, table):
+    """``[r, ...] = d table / dU^r`` by `differentiate`."""
+    out = np.empty((sys.N,) + table.shape, dtype=object)
+    for r, c in enumerate(sys.coords):
+        for idx in np.ndindex(*table.shape):
+            out[(r,) + idx] = differentiate(table[idx], c)
+    return out
+
+
+def symbolic_d2(sys, table):
+    """``[r, q, ...] = d_r d_q table`` by `differentiate`, the later
+    coordinate first, one expression for both mixed partials."""
+    d1 = symbolic_d1(sys, table)
+    out = np.empty((sys.N,) + d1.shape, dtype=object)
+    for r, c in enumerate(sys.coords):
+        for q in range(r, sys.N):
+            for idx in np.ndindex(*table.shape):
+                out[(r, q) + idx] = out[(q, r) + idx] = differentiate(d1[(q,) + idx], c)
+    return out
+
+
+def assert_agree(jet, symbolic):
+    """Finite wherever the symbolic table is, and equal there to 1e-12
+    relative."""
+    assert jet.shape == symbolic.shape
+    finite = np.isfinite(jet) & np.isfinite(symbolic)
+    assert np.array_equal(finite, np.isfinite(symbolic))
+    gap = np.abs(jet - symbolic)[finite]
+    assert np.all(gap <= 1e-12 * np.maximum(np.abs(jet), np.abs(symbolic))[finite])
+
+
 @pytest.mark.parametrize("count", [1, 64, 2048])
 @pytest.mark.parametrize("sys", BUILTINS + GENERATED)
 def test_tables_match_the_ndindex_loop(sys, count):
@@ -142,11 +175,14 @@ def test_tables_match_the_ndindex_loop(sys, count):
     tables = declared_tables(sys)
     assert tables
     for _, table in tables:
-        assert_bitwise(tz.table_at(sys, table, pts), ref_table_at(sys, table, pts))
-        d1 = tz._d1_table(sys, table)
-        assert_bitwise(tz.table_d1_at(sys, table, pts), ref_table_at(sys, d1, pts))
-        d2 = tz._d2_table(sys, table)
-        assert_bitwise(tz.table_at(sys, d2, pts), ref_table_at(sys, d2, pts))
+        values = tz.table_at(sys, table, pts)
+        assert_bitwise(values, ref_table_at(sys, table, pts))
+        d1 = tz.table_d1_at(sys, table, pts)
+        assert_agree(d1, ref_table_at(sys, symbolic_d1(sys, table), pts))
+        jets = tz._jets(sys, table, pts, 2)
+        assert_bitwise(jets[0], values)
+        assert_bitwise(jets[1], d1)
+        assert_agree(jets[2], ref_table_at(sys, symbolic_d2(sys, table), pts))
 
 
 def test_batch_axes_and_single_points():
@@ -197,22 +233,32 @@ def structure(e, keys):
 
 @pytest.mark.parametrize("sys", [sphere_system(), generated_metric(3, 0),
                                  generated_metric(4, 1)], ids=lambda s: s.name)
-def test_second_derivative_table_evaluates_each_value_number_once(sys, monkeypatch):
-    d2 = tz._d2_table(sys, sys.g_upper)
+def test_curvature_pass_evaluates_each_value_number_once(sys, monkeypatch):
+    """The curvature takes g, dg and d2g from one jet pass over the compiled
+    g_upper table, which walks each of its value numbers once."""
     keys = set()
-    for e in {id(e): e for e in d2.flat}.values():
+    for e in {id(e): e for e in sys.g_upper.flat}.values():
         structure(e, keys)
     pts = sample_box(sys.box, 16)
-    seen = counting_operator_nodes(monkeypatch)
-    evaluate_table(d2, sys.coords, sys.params, pts)
-    walked = len(seen)
-    seen.clear()
-    tz.table_at(sys, d2, pts)
-    assert len(seen) == len(keys)
-    assert walked >= len(keys)
-    # mixed partials share one expression object
-    n = sys.N
-    assert len({id(e) for e in d2.flat}) <= d2.size - (n * (n - 1) // 2) * sys.g_upper.size
+    tz.riemann_raised_at(sys, pts)
+    jets = counting_jet_nodes(monkeypatch)
+    values = counting_operator_nodes(monkeypatch)
+    tz.riemann_raised_at(sys, pts)
+    assert len(jets) == len(keys)
+    assert values == []
+
+
+def counting_jet_nodes(monkeypatch):
+    """Every non-leaf node `expr._jet` evaluates from now on."""
+    seen = []
+    original = expr._jet
+
+    def counted(e, env):
+        if not isinstance(e, (Number, Name)):
+            seen.append(e)
+        return original(e, env)
+    monkeypatch.setattr(expr, "_jet", counted)
+    return seen
 
 
 def counting_compiles(monkeypatch):
@@ -230,11 +276,11 @@ def test_a_system_table_is_compiled_once(monkeypatch):
     tables = counting_compiles(monkeypatch)
     sys = generated_metric(3, 0)
     verify.classify(sys)
-    # g_upper and its first and second derivative tables
-    assert len(tables) == 3
+    # g_upper alone: its derivatives are jets over the same compiled table
+    assert len(tables) == 1
     verify.classify(sys, samples=256)
     tz.riemann_raised_at(sys, sample_box(sys.box, 5))
-    assert len(tables) == 3
+    assert len(tables) == 1
 
 
 def test_per_call_tables_are_never_compiled(monkeypatch):

@@ -204,12 +204,37 @@ def test_diff_power_rules():
     # integer exponent: power rule without log
     d = differentiate(parse("x^3", SYMS), "x")
     assert abs(evaluate(d, {"x": -1.5}) - 3 * 1.5**2) < 1e-12
-    # symbolic exponent: general rule, positive base only
+    # exponent constant in the variable: the power rule, as for a number
     d2 = differentiate(parse("a^b", SYMS), "a")
     env = {"a": 1.7, "b": 2.3}
     assert abs(evaluate(d2, env) - 2.3 * 1.7**1.3) < 1e-12
     with pytest.raises(DomainError):
         evaluate(d2, {"a": -1.0, "b": 0.5})
+    # exponent varying with the variable: general rule, positive base only
+    d3 = differentiate(parse("a^b", SYMS), "b")
+    assert abs(evaluate(d3, env) - 1.7**2.3 * np.log(1.7)) < 1e-12
+    with pytest.raises(DomainError):
+        evaluate(d3, {"a": -1.0, "b": 2.0})
+
+
+def test_power_rule_for_a_symbolic_exponent_is_smooth_at_zero():
+    """u^a with a = 2 is smooth at u = 0: its derivative is a*u^(a - 1),
+    with no division by u, on the symbolic path and on the jets."""
+    tree = parse("x^a", SYMS)
+    d = differentiate(tree, "x")
+    assert d == parse("a*x^(a - 1)", SYMS)
+    env = {"x": 0.0, "a": 2.0}
+    assert evaluate(d, env) == 0.0
+    assert evaluate(differentiate(d, "x"), env) == 2.0
+    table = np.array([tree], dtype=object)
+    for order in (1, 2):
+        got = ex._jet_table(table, ["x"], {"a": 2.0}, np.array([[0.0]]), order)
+        assert [float(t.ravel()[0]) for t in got] == [0.0, 0.0, 2.0][:order + 1]
+    # a = 0 still meets 0^-1, in both forms
+    with pytest.raises(DomainError):
+        evaluate(d, {"x": 0.0, "a": 0.0})
+    with pytest.raises(DomainError, match="derivative: power outside domain"):
+        ex._jet_table(table, ["x"], {"a": 0.0}, np.array([[0.0]]), 1)
 
 
 def test_diff_abs():

@@ -1,9 +1,10 @@
 """The one-pass geometry layer against the formulas it replaced.
 
 The reference below is the earlier tensor code kept as an oracle: every
-quantity from separate `metric_lower_at` / table calls, contracted with
-multi-operand einsums in the order the formulas are written.  The pass
-under test shares one table evaluation and guard per batch and contracts
+quantity from separate `metric_lower_at` / table calls, the derivative
+tables from `differentiate`, contracted with multi-operand einsums in the
+order the formulas are written.  The pass under test takes the metric and
+its derivatives from one jet evaluation and guard per batch and contracts
 pairwise, so the two agree to rounding.
 """
 
@@ -12,7 +13,7 @@ import pytest
 
 from hydrobrackets import library, tensor as tz, verify
 from hydrobrackets.errors import SingularMetricError
-from hydrobrackets.expr import differentiate
+from hydrobrackets.expr import differentiate, evaluate_table
 from hydrobrackets.system import Box, SystemDef, sample_box
 
 from conftest import canonical_system, polar_pair_system, sphere_system
@@ -22,8 +23,16 @@ REL = 1e-12
 
 # --- reference: the earlier formulas (frozen) ---------------------------------
 
+def ref_d1(sys, exprs, pts):
+    table = np.empty((sys.N,) + exprs.shape, dtype=object)
+    for r, c in enumerate(sys.coords):
+        for idx in np.ndindex(*exprs.shape):
+            table[(r,) + idx] = differentiate(exprs[idx], c)
+    return evaluate_table(table, sys.coords, sys.params, pts)
+
+
 def ref_upper_d1(sys, pts):
-    return tz.table_d1_at(sys, sys.g_upper, pts)
+    return ref_d1(sys, sys.g_upper, pts)
 
 
 def ref_upper_d2(sys, pts):
@@ -33,7 +42,7 @@ def ref_upper_d2(sys, pts):
             for idx in np.ndindex(*sys.g_upper.shape):
                 table[(r, q) + idx] = differentiate(
                     differentiate(sys.g_upper[idx], cq), cr)
-    return tz.table_at(sys, table, pts)
+    return evaluate_table(table, sys.coords, sys.params, pts)
 
 
 def ref_lower_d1(lower, upper_d1):
@@ -68,7 +77,7 @@ def ref_christoffel_d1(sys, pts):
     l1 = ref_lower_d1(lower, upper_d1)
     if sys.b is not None:
         b = tz.b_at(sys, pts)
-        b1 = tz.table_d1_at(sys, sys.b, pts)
+        b1 = ref_d1(sys, sys.b, pts)
         return (-np.einsum("prms,psnl->prnml", l1, b)
                 - np.einsum("pms,prsnl->prnml", lower, b1))
     upper = tz.metric_upper_at(sys, pts)
@@ -181,9 +190,11 @@ def test_geometry_matches_reference(sys):
         return
     assert_close(tz.christoffel_at(sys, pts), ref_christoffel(sys, pts))
     assert_close(tz.levi_civita_at(sys, pts), ref_levi_civita(sys, pts))
-    assert_close(tz.christoffel_d1_at(sys, pts), ref_christoffel_d1(sys, pts))
-    assert_close(tz.riemann_at(sys, pts), ref_riemann(sys, pts))
-    assert_close(tz.riemann_raised_at(sys, pts), expected)
+    raised = tz.riemann_raised_at(sys, pts)
+    assert_close(raised, expected)
+    # R^n_{tml}, with the raised index lowered again
+    lowered = np.einsum("pts,pnsml->pntml", tz.metric_lower_at(sys, pts), raised)
+    assert_close(lowered, ref_riemann(sys, pts))
 
 
 @pytest.mark.filterwarnings(
@@ -221,7 +232,7 @@ def test_one_point_is_a_batch_of_one():
     pts = sample_box(sys.box, 4)
     views = sorted(name for name in vars(tz)
                    if name.endswith("_at") and name != "point_at")
-    assert len(views) == 15
+    assert len(views) == 13
     for name in views:
         fn = getattr(tz, name)
         args = (sys, sys.g_upper) if name.startswith("table") else (sys,)

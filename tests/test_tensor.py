@@ -218,17 +218,23 @@ def test_christoffel_symmetric_lower_pair():
 
 # --- curvature -----------------------------------------------------------------
 
+def riemann_lowered(sys, pts):
+    """``R^n_{tml}``: `riemann_raised_at` with its raised index lowered."""
+    raised = tz.riemann_raised_at(sys, pts)
+    return np.einsum("pts,pnsml->pntml", tz.metric_lower_at(sys, pts), raised)
+
+
 def test_riemann_flat_cases():
     for sys in (canonical_system(2), polar_pair_system(with_b=False),
                 polar_pair_system(with_b=True)):
         pts = sample_box(sys.box, 32)
-        assert np.max(np.abs(tz.riemann_at(sys, pts))) < 1e-10, sys.name
+        assert np.max(np.abs(riemann_lowered(sys, pts))) < 1e-10, sys.name
 
 
 def test_riemann_sphere_closed_form():
     sys = sphere_system()
     th = 1.2
-    lowered = tz.riemann_at(sys, [(th, 0.5)])[0]
+    lowered = riemann_lowered(sys, [(th, 0.5)])[0]
     raised = tz.riemann_raised_at(sys, [(th, 0.5)])[0]
     # classic sectional value for the unit sphere
     assert abs(lowered[0, 1, 0, 1] - np.sin(th) ** 2) < 1e-12
@@ -242,7 +248,7 @@ def test_riemann_sphere_closed_form():
 def test_riemann_first_bianchi():
     for sys in (sphere_system(), polar_pair_system(with_b=False)):
         pts = sample_box(sys.box, 16)
-        r = tz.riemann_at(sys, pts)
+        r = riemann_lowered(sys, pts)
         cyc = (r + np.transpose(r, (0, 1, 3, 4, 2))
                + np.transpose(r, (0, 1, 4, 2, 3)))
         assert np.max(np.abs(cyc)) < 1e-11
@@ -268,7 +274,7 @@ def test_riemann_fd_cross_check_on_sphere():
                     for s in range(n):
                         val += gam[a, s, m] * gam[s, t, l] - gam[a, s, l] * gam[s, t, m]
                     oracle[a, t, m, l] = val
-    ours = tz.riemann_at(sys, pt[None, :])[0]
+    ours = riemann_lowered(sys, pt[None, :])[0]
     assert np.max(np.abs(ours - oracle)) < 1e-6
 
 
