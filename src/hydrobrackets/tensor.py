@@ -22,15 +22,24 @@ evaluating `expr.differentiate` of each entry gives.
 
 Geometry pass: the metric-derived tensors come from one evaluation per
 point batch (`_geometry`).  It evaluates the jets of the ``g_upper`` table
-once, to first order, or to second order when the derivative of a
-Levi-Civita connection (so the curvature) is asked for, inverts the values
-once under the singularity guard, then assembles the connection and its
-derivative.  `christoffel_at`, `levi_civita_at` and `riemann_raised_at`
-are views of that pass; `christoffel_at` stays first order, as the
-flat-coordinate transport evaluates it at every Runge-Kutta stage
-position.  Products are contracted pairwise with ``matmul`` (never an
-einsum of three or more operands), so the curvature costs O(P N^5)
-arithmetic, and 5-index temporaries are dropped as soon as they are used.
+once, to first order, or to second order for the curvature of a
+Levi-Civita connection, and inverts the values once under the singularity
+guard, both over the whole batch, then assembles the connection.
+`christoffel_at`, `levi_civita_at` and `riemann_raised_at` are views of
+that pass; `christoffel_at` stays first order, as the flat-coordinate
+transport calls it on batches of up to ``verify.TRANSPORT_BATCH_POINTS``
+Runge-Kutta stage positions.  `riemann_raised_at` assembles the curvature
+in blocks of at most ``CURVATURE_BLOCK_ENTRIES // N**4`` points written
+into one output, so its (P, N, N, N, N) temporaries span one block, not
+the batch.  For a Levi-Civita connection, raising the second index cancels
+the inverse metric on that side, so the assembly needs ``g_upper``, its
+inverse, their jets and the first-kind symbols, and no second derivative
+of the inverse (`_levi_civita_curvature`); a declared ``b`` is
+differentiated and goes through `_riemann`.  Products are contracted
+pairwise with ``matmul``, one product per point where the layout allows
+(never an einsum of three or more operands), so the curvature costs
+O(P N^5) arithmetic and about ten passes over the 5-index arrays of each
+block.
 
 Index layout conventions, writing ``n, t`` for upper and ``m, l, s, r`` for
 lower indices:
@@ -56,6 +65,8 @@ from .system import SystemDef
 
 DET_FLOOR = 1e-300
 COND_CEILING = 1e12
+# at most this many entries (points times N**4) in one block of the curvature
+CURVATURE_BLOCK_ENTRIES = 2 ** 16
 
 
 # --- compiled tables ---------------------------------------------------------
@@ -122,7 +133,7 @@ def _apply(mat, t, lead):
     where ``t`` had ``s``.
     """
     rest = t.shape[lead + 1:]
-    out = mat @ t.reshape(t.shape[:lead + 1] + (-1,))
+    out = mat @ t.reshape(t.shape[:lead + 1] + (int(np.prod(rest)),))
     return out.reshape(out.shape[:-1] + rest)
 
 
@@ -187,37 +198,26 @@ def _lower_d1(lower, upper_d1):
     return np.negative(out, out=out)
 
 
-def _lower_d2(lower, upper_d1, l1, upper_d2):
-    # d_r d_q(g^{-1}) = -g^{-1} (d_r d_q g) g^{-1} - c_{rq} - c_{qr} with
-    # c_{rq} = d_r(g^{-1}) (d_q g) g^{-1}; 5-index temporaries freed early
-    low = lower[:, None, None]
-    out = upper_d2 @ low
-    out = np.matmul(low, out, out=out)
-    c = l1[:, :, None] @ (upper_d1 @ lower[:, None])[:, None]
-    out += c
-    out += np.swapaxes(c, 1, 2)
-    del c
-    return np.negative(out, out=out)
-
-
-def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
-    """One pass over a point batch: ``(g_upper values, connection, derivative)``.
+def _geometry(sys: SystemDef, pts, *, curvature=False, levi_civita=False):
+    """One pass over a point batch: ``(g_upper values, connection, curvature)``.
 
     Evaluates the jets of the ``g_upper`` table once, to the order the
     result needs: values only for a declared connection, first derivatives
-    for its derivative or for a Levi-Civita connection, second derivatives
-    only for the derivative of a Levi-Civita connection.  It inverts the
+    for its curvature or for a Levi-Civita connection, second derivatives
+    only for the curvature of a Levi-Civita connection.  It inverts the
     values under the singularity guard; a singular metric is reported
     before a derivative outside its domain, as when the values came alone.
     The connection comes from the declared ``b`` unless ``levi_civita`` is
-    set or no ``b`` is declared.  The derivative is ``None`` unless
-    ``derivative`` is set, with layout ``[p, r, n, m, l] = d_r Gamma^n_{ml}``.
+    set or no ``b`` is declared.  The curvature is ``None`` unless
+    ``curvature`` is set; then it is ``(assemble, *parts)``, where the
+    parts are batch arrays and ``assemble(out, *blocks)`` writes the raised
+    curvature of a block of points, given the same block of each part.
     """
     if sys.g_upper is None:
         raise ValueError("system declares no metric")
     pts = _points(sys, pts)
     declared = sys.b is not None and not levi_civita
-    order = int(derivative) + int(not declared)
+    order = int(curvature) + int(not declared)
     try:
         upper, *upper_d = _jets(sys, sys.g_upper, pts, order)
     except DomainError:
@@ -228,31 +228,18 @@ def _geometry(sys: SystemDef, pts, *, derivative=False, levi_civita=False):
         # Gamma^n_{ml} = -g_{ms} b^{sn}_l
         b, *b_d = _jets(sys, sys.b, pts, order)
         gamma = np.swapaxes(_apply(-lower, b, 1), 1, 2)
-        if not derivative:
+        if not curvature:
             return upper, gamma, None
     l1 = _lower_d1(lower, upper_d[0])
     if declared:
-        gamma_d1 = _apply(lower[:, None], b_d[0], 2)
-        gamma_d1 += _apply(l1, b[:, None], 2)
-        np.negative(gamma_d1, out=gamma_d1)
-        return upper, gamma, np.swapaxes(gamma_d1, 2, 3)
+        return upper, gamma, (_declared_curvature, upper, lower, l1, b, b_d[0], gamma)
     # first-kind symbols s[k, m, l] = d_m g_{kl} + d_l g_{km} - d_k g_{ml}
     s = np.transpose(l1, (0, 2, 1, 3)) + np.transpose(l1, (0, 2, 3, 1))
     s -= l1
     gamma = 0.5 * _apply(upper, s, 1)
-    if not derivative:
+    if not curvature:
         return upper, gamma, None
-    upper_d1, upper_d2 = upper_d
-    l2 = _lower_d2(lower, upper_d1, l1, upper_d2)
-    del upper_d, upper_d2
-    s1 = np.transpose(l2, (0, 1, 3, 2, 4)) + np.transpose(l2, (0, 1, 3, 4, 2))
-    s1 -= l2
-    del l2
-    gamma_d1 = _apply(upper[:, None], s1, 2)
-    del s1
-    gamma_d1 += _apply(upper_d1, s[:, None], 2)
-    gamma_d1 *= 0.5
-    return upper, gamma, gamma_d1
+    return upper, gamma, (_levi_civita_curvature, upper, lower, *upper_d, s, gamma)
 
 
 def _riemann(gamma, gamma_d1):
@@ -267,6 +254,55 @@ def _riemann(gamma, gamma_d1):
     out += quad
     out -= np.swapaxes(quad, 3, 4)
     return out
+
+
+def _declared_curvature(out, upper, lower, l1, b, b_d1, gamma):
+    # d_r Gamma^n_{ml} = -d_r g_{ms} b^{sn}_l - g_{ms} d_r b^{sn}_l
+    count, n = gamma.shape[:2]
+    gamma_d1 = _apply(lower[:, None], b_d1, 2)
+    gamma_d1 += _apply(l1, b[:, None], 2)
+    np.negative(gamma_d1, out=gamma_d1)
+    riemann = _riemann(gamma, np.swapaxes(gamma_d1, 2, 3))
+    np.matmul(upper[:, None], riemann.reshape(count, n, n, n * n),
+              out=out.reshape(count, n, n, n * n))
+
+
+def _levi_civita_curvature(out, upper, lower, upper_d1, upper_d2, s, gamma):
+    # Raising n and a in R_{ktml} = (F_{mtkl} - F_{ltkm}) / 2, where
+    # F_{mtkl} = d_m d_t g_{kl} - d_m d_k g_{tl} - s_{xmk} Gamma^x_{tl}, gives
+    # R^{na}_{ml} = A_{ml} A_{na} T with A_{ij} subtracting the copy with i
+    # and j swapped and, writing D_m = d_m g^{..}, X_m = D_m g_{..},
+    # W[a, k, l] = g^{at} X_t[k, l] and Z[x, a, l] = g^{at} Gamma^x_{tl},
+    #   2T = g^{at} (X_m X_t + X_t X_m - (d_m d_t g^{..}) g_{..})[n, l]
+    #        - (s_{xmk} g^{kn}) Z[x, a, l] / 2.
+    # With s_{xmk} g^{kn} = -2 X_m[n, x] - 2 Gamma^n_{mx} and, by metric
+    # compatibility, W[a, k, l] + Z[k, a, l] = -g^{at} g^{ki} s_{lit} / 2,
+    #   2T = W[a, n, k] X_m[k, l] - D_m[n, i] g^{at} s_{lit} / 2
+    #        + Gamma^n_{mx} Z[x, a, l] - g^{at} (d_t d_m g^{..} g_{..})[n, l].
+    # The last three terms pair (m, n) against (l, a), so their products
+    # come out as ``crossed[p, m, n, l, a]`` and are transposed once; the
+    # first pairs (a, n) against (m, l), which is the layout of ``out`` with
+    # n and a swapped, so A_{na} takes it with the sign flipped.
+    count, n = s.shape[:2]
+    nn = n * n
+    second = upper_d2.reshape(count, n ** 3, n) @ lower
+    crossed = (np.swapaxes(second.reshape(count, n, n ** 3), 1, 2)
+               @ (-0.5 * upper)).reshape(count, nn, nn)
+    del second
+    # s and Gamma are symmetric in their last two indices, so contracting
+    # the last one with g^{..} gives [l, i, a] and Z as [x, l, a]
+    s_up = (s.reshape(count, nn, n) @ (-0.25 * upper)).reshape(count, n, n, n)
+    crossed += upper_d1.reshape(count, nn, n) @ np.swapaxes(s_up, 1, 2).reshape(count, n, nn)
+    z = gamma.reshape(count, nn, n) @ (0.5 * upper)
+    crossed += np.swapaxes(gamma, 1, 2).reshape(count, nn, n) @ z.reshape(count, n, nn)
+    np.copyto(out, crossed.reshape((count,) + (n,) * 4).transpose(0, 2, 4, 1, 3))
+    del crossed
+    x = upper_d1.reshape(count, nn, n) @ lower
+    w = (0.5 * upper) @ x.reshape(count, n, nn)
+    xk = np.transpose(x.reshape(count, n, n, n), (0, 2, 1, 3)).reshape(count, n, nn)
+    out -= (w.reshape(count, nn, n) @ xk).reshape(out.shape)
+    u = out - np.swapaxes(out, 1, 2)
+    np.subtract(u, np.swapaxes(u, 3, 4), out=out)
 
 
 def b_at(sys, pts):
@@ -292,9 +328,19 @@ def christoffel_at(sys: SystemDef, pts):
 
 
 def riemann_raised_at(sys: SystemDef, pts):
-    """Curvature with the second index raised by the metric."""
-    upper, gamma, gamma_d1 = _geometry(sys, pts, derivative=True)
-    return _apply(upper[:, None], _riemann(gamma, gamma_d1), 2)
+    """Curvature with the second index raised by the metric.
+
+    Assembled in blocks of at most ``CURVATURE_BLOCK_ENTRIES // N**4``
+    points, so its 5-index temporaries never span the whole batch.
+    """
+    _, gamma, (assemble, *parts) = _geometry(sys, pts, curvature=True)
+    count, n = gamma.shape[:2]
+    out = np.empty((count,) + (n,) * 4)
+    step = max(1, CURVATURE_BLOCK_ENTRIES // n ** 4)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        assemble(out[block], *(part[block] for part in parts))
+    return out
 
 
 # --- operator tensors -----------------------------------------------------------

@@ -8,6 +8,8 @@ its derivatives from one jet evaluation and guard per batch and contracts
 pairwise, so the two agree to rounding.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,8 +157,16 @@ METRIC_SYSTEMS = (
         canonical_system(3), polar_pair_system(with_b=False),
         sphere_system(with_b=True))]
     + [pytest.param(conformal_metric(n, c), id=f"conformal-{n}-c{c}")
-       for n in (2, 3, 4) for c in (0.0, 1.0, -0.1)]
-    + [pytest.param(coupled_metric(n), id=f"coupled-{n}") for n in (2, 3, 4)])
+       for n in (1, 2, 3, 4, 5, 6) for c in (0.0, 1.0, -0.1)]
+    + [pytest.param(coupled_metric(n), id=f"coupled-{n}") for n in (1, 2, 3, 4, 5, 6)])
+
+# the reference costs O(P N^8), so only N = 4 also runs around one block
+BLOCK_4 = tz.CURVATURE_BLOCK_ENTRIES // 4 ** 4
+METRIC_BATCHES = [pytest.param(*param.values, 48, id=param.id)
+                  for param in METRIC_SYSTEMS] + [
+    pytest.param(*param.values, size, id=f"{param.id}-{size}")
+    for param in METRIC_SYSTEMS if param.values[0].N == 4
+    for size in (BLOCK_4 - 1, BLOCK_4, BLOCK_4 + 1)]
 
 OPERATOR_SYSTEMS = builtin(lambda s: s.operator_matrix() is not None) + [
     pytest.param(SystemDef(["a", "b", "c"],
@@ -177,9 +187,9 @@ def assert_close(new, old):
 
 # --- agreement -------------------------------------------------------------------
 
-@pytest.mark.parametrize("sys", METRIC_SYSTEMS)
-def test_geometry_matches_reference(sys):
-    pts = sample_box(sys.box, 48)
+@pytest.mark.parametrize("sys, size", METRIC_BATCHES)
+def test_geometry_matches_reference(sys, size):
+    pts = sample_box(sys.box, size)
     try:
         expected = ref_riemann_raised(sys, pts)
     except SingularMetricError as err:
@@ -218,17 +228,23 @@ def test_references_are_not_vacuous():
         assert np.max(np.abs(tz.hantjes_at(sys, pts))) > 1e-2
 
 
-def test_one_point_is_a_batch_of_one():
-    """Every ``*_at`` view takes a 1-D point as the batch holding it."""
+def declared_system():
+    """Coupled metric with every other field declared too."""
     base = coupled_metric(3)
-    sys = SystemDef(
+    return SystemDef(
         base.coords, g_upper=base.g_upper,
         b=[[[f"0.1*u{s + 1}*u{n + 1} + {l}" for l in range(3)]
             for n in range(3)] for s in range(3)],
         V=[["u1 + 1", "0.1*u2", "0"], ["0", "u2 + 3", "0.2*u1"],
            ["0.3", "0", "u3^2 + 5"]],
         h_ultra=[[f"sin(u{i + 1}) + {j}" for j in range(3)] for i in range(3)],
-        box=base.box)
+        box=base.box, name="declared-3")
+
+
+def test_one_point_is_a_batch_of_one():
+    """Every ``*_at`` view takes a 1-D point as the batch holding it, and
+    an empty batch gives an empty result of the same trailing shape."""
+    sys = declared_system()
     pts = sample_box(sys.box, 4)
     views = sorted(name for name in vars(tz)
                    if name.endswith("_at") and name != "point_at")
@@ -239,6 +255,45 @@ def test_one_point_is_a_batch_of_one():
         one = fn(*args, pts[2])
         assert one.shape[0] == 1, name
         assert np.array_equal(one, fn(*args, pts[2:3])), name
+        assert fn(*args, np.empty((0, sys.N))).shape == (0,) + one.shape[1:], name
+
+
+# --- point blocks of the curvature ------------------------------------------------
+
+@pytest.mark.parametrize("sys", [conformal_metric(4, 1.0), declared_system()],
+                         ids=["levi-civita", "declared-b"])
+def test_curvature_blocks_do_not_change_the_result(sys, monkeypatch):
+    """The curvature of a batch is, bitwise, that of one block over it."""
+    pts = sample_box(sys.box, 2048)
+    results = []
+    for points in (2048, 100, 1):
+        monkeypatch.setattr(tz, "CURVATURE_BLOCK_ENTRIES", points * sys.N ** 4)
+        results.append(tz.riemann_raised_at(sys, pts))
+    monkeypatch.undo()
+    results.append(tz.riemann_raised_at(sys, pts))
+    for blocked in results[1:]:
+        assert blocked.tobytes() == results[0].tobytes()
+
+
+def test_curvature_peak_memory_stays_near_its_output():
+    """The 5-index temporaries of the curvature live for one point block.
+
+    At N = 4 and 2,048 points the output is 4.2 MB; the pass keeps the
+    second derivatives of the metric (one output) and three 4-index
+    arrays (a quarter output each) for the whole batch, and the blocks add
+    well under one output.  Assembling the whole batch at once reaches 4.4
+    outputs, which the bound rejects.
+    """
+    sys = conformal_metric(4, 1.0)
+    pts = sample_box(sys.box, 2048)
+    tz.riemann_raised_at(sys, pts)      # compile the tables first
+    tracemalloc.start()
+    try:
+        out = tz.riemann_raised_at(sys, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
 
 
 # --- one curvature per classify --------------------------------------------------
