@@ -201,6 +201,12 @@ def cmd_hodograph(args):
                           "section needs either 'w' or 'boundary'")
     print(f"flow [{flow.kind}]: defining residual "
           f"{flow.residual:.3e} ({flow.provenance})")
+    # integrated flows carry march error and are not judged here
+    if flow.kind == "closed-form" and not flow.residual < tol["tol_goursat"]:
+        print(f"refusing to solve: the flow misses its defining relation by "
+              f"{flow.residual:.3e} (tol_goursat {tol['tol_goursat']:.1e}) at "
+              f"R = {flow.witness}", file=sys.stderr)
+        return FAIL
 
     seed = section["seed"] if "seed" in section else sys_.box.center
     if "x_window" in section:  # the config admits the windows as a pair

@@ -18,13 +18,13 @@ batch; it is the one path by which the other modules evaluate expressions.
 evaluates each subexpression its entries share once per batch; `tensor`
 compiles the tables a system owns.
 
-Derivatives come two ways from one set of rules (`_rule`).
-`differentiate` builds the derivative tree, for a functional's gradient,
-for `hodograph`'s symbolic tables and as the oracle of the tests.  The
-tables of a system need numbers, not trees: `tensor` evaluates the jets of
-a compiled table (`_jet_table`) in the executor `evaluate_table` uses,
-which carries each value with its derivatives in every coordinate through
-one pass, folding constants as `differentiate` folds them.
+Derivatives come two ways from one set of rules (`_rule`).  At run time
+every derivative is a number from the jets: `jet_table` evaluates a table
+in the executor `evaluate_table` uses, carrying each value with its
+derivatives in every coordinate through one pass and folding constants as
+`differentiate` folds them.  `tensor`, `hodograph` and `fieldbracket` take
+their derivatives from it.  `differentiate` builds the derivative tree; it
+is public API and the oracle of the tests, and no other module calls it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import DomainError, ExprSyntaxError, UnknownSymbolError
 __all__ = [
     "Expr", "Number", "Name", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "FUNCTIONS", "parse", "as_expr", "differentiate", "evaluate",
-    "evaluate_table", "compile_table", "to_source", "free_names",
+    "evaluate_table", "jet_table", "compile_table", "to_source", "free_names",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
@@ -794,10 +794,10 @@ def evaluate_table(exprs, names, params, pts) -> np.ndarray:
     that read the values report them as non-finite residuals with a
     witness.
     """
-    return _jet_table(exprs, names, params, pts, 0)[0]
+    return jet_table(exprs, names, params, pts, 0)[0]
 
 
-def _jet_table(exprs, names, params, pts, order):
+def jet_table(exprs, names, params, pts, order):
     """`evaluate_table` with the coordinate derivatives up to ``order``.
 
     Returns ``[values, d1, ...]``, where ``d_j`` has shape

@@ -11,13 +11,14 @@ residual comes out of `bracket` directly, and `jacobi_residual` measures
 Olver's tri-vector of the operator together with the triple's antisymmetry.
 
 Cost model: a bracket evaluates each expression table entry once over the
-M gridpoints.  A Jacobi residual evaluates each functional's gradient table
-once at the field, and makes two calls into the operator core shared by
-`bracket`, `apply_bracket_operator` and `hamiltonian_flow`, each with the
-three functionals stacked on its leading batch axis: the three flows, and
-the operator derivatives along them (first-derivative tables of the
-coefficients).  That is O(M) points per functional, with no step size and
-no second derivatives of the densities.
+M gridpoints.  A Jacobi residual takes the first-order jets of each
+functional's density (`expr.jet_table`) once at the field, and makes two
+calls into the operator core shared by `bracket`, `apply_bracket_operator`
+and `hamiltonian_flow`, each with the three functionals stacked on its
+leading batch axis: the three flows, and the operator derivatives along
+them (first-derivative tables of the coefficients).  That is O(M) points
+per functional, with no step size and no second derivatives of the
+densities.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ShapeMismatchError
-from .expr import as_expr, differentiate, evaluate_table
+from .expr import as_expr, evaluate_table, jet_table
 from .system import SystemDef
 
 
@@ -93,15 +94,13 @@ class Functional:
 
     The density is an expression in the field component names; no
     x-derivatives appear, so the variational derivative is the exact
-    gradient of the density at each gridpoint.
+    gradient of the density at each gridpoint, its first-order jet.
     """
 
     def __init__(self, density, coords):
         self.coords = tuple(coords)
         self.density = as_expr(density, self.coords, "density")
-        self.gradient = tuple(differentiate(self.density, c) for c in self.coords)
         self._density_table = np.array(self.density, dtype=object)
-        self._gradient_table = np.array(self.gradient, dtype=object)
 
     def value(self, U: GridField) -> float:
         dens = evaluate_table(self._density_table, self.coords, {}, U.values.T)
@@ -114,8 +113,8 @@ class Functional:
     def _variational(self, values):
         """delta F / delta U of fields stacked as (..., N, M), same shape."""
         # the fields as points (..., M, N), component last
-        grad = evaluate_table(self._gradient_table, self.coords, {},
-                              np.swapaxes(values, -1, -2))
+        grad = jet_table(self._density_table, self.coords, {},
+                         np.swapaxes(values, -1, -2), 1)[1]
         return np.ascontiguousarray(np.swapaxes(grad, -1, -2))
 
 

@@ -9,13 +9,16 @@ Newton batch per time row, row 0 from the seed and every later row from
 the row before, with a march in x as the fallback (`hodograph_solve`), and
 an independent finite-difference residual audit (`verify_solution`).
 
-Closed-form flows differentiate exactly; grid-sampled flows interpolate
-with bicubic Hermite patches, whose interpolation error is the dominant
-error term of the two-component pipeline.
+Derivatives are numbers from the jets of `expr.jet_table`: the coupling
+a[nu, mu] = d_mu v^nu / (v^mu - v^nu) (`_coupling`) and its derivatives, and
+closed-form flow Jacobians.  Grid-sampled flows interpolate with bicubic
+Hermite patches, whose interpolation error is the dominant error term of
+the two-component pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +29,7 @@ from .errors import (
     DomainError, HyperbolicityViolationError, NonConvergenceError,
     RegionTooSmallError, SeedOutOfBoxError,
 )
-from .expr import as_expr, differentiate, evaluate_table
+from .expr import as_expr, compile_table, evaluate_table, jet_table
 from .system import Box, SystemDef, sample_box
 from .verify import (
     SAMPLES, TOL_ZERO, JsonReport, fold_worst, point_list, write_csv,
@@ -67,23 +70,12 @@ def _check_hyperbolicity(sys, pts, gap_tol):
     return float(gaps[worst])
 
 
-def _values_at(sys, exprs, pts):
-    """Values of a sequence of expressions at a point batch, shape (P, len).
-
-    The array is built per call, so it is evaluated uncompiled."""
-    return evaluate_table(np.array(exprs, dtype=object), sys.coords, sys.params, pts)
-
-
-def _a_table(sys: SystemDef):
-    """a[nu][mu] = d_mu v^nu / (v^mu - v^nu) as expressions, mu != nu."""
-    n = sys.N
-    out = np.empty((n, n), dtype=object)
-    for nu in range(n):
-        for mu in range(n):
-            if mu != nu:
-                out[nu, mu] = (differentiate(sys.v_diag[nu], sys.coords[mu])
-                               / (sys.v_diag[mu] - sys.v_diag[nu]))
-    return out
+def _coupling(v, dv, nu, mu):
+    """a[nu, mu] = d_mu v^nu / (v^mu - v^nu), shape (P, len(nu)), at the
+    pairs ``zip(nu, mu)`` from the velocity jets ``v`` (P, N) and ``dv``
+    (P, mu, nu); inf and nan come without numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return dv[:, mu, nu] / (v[:, mu] - v[:, nu])
 
 
 @dataclass
@@ -120,9 +112,9 @@ def semi_hamiltonian_check(sys: SystemDef, *, tol_zero: float = TOL_ZERO,
                            gap_tol: float = GAP_TOL) -> SemiHamiltonianReport:
     """Check the commuting-flow compatibility conditions of v_diag.
 
-    For every distinct index triple (nu, mu, lam) the quantity
+    For every distinct index triple (nu, mu, lam), mu < lam, the quantity
     d_lam(d_mu v^nu / (v^mu - v^nu)) - d_mu(d_lam v^nu / (v^lam - v^nu))
-    is evaluated from exact symbolic derivatives over the sample sweep.
+    is evaluated over the sample sweep from the second-order jets of v.
     Systems with fewer than three components pass vacuously.
 
     Raises
@@ -133,17 +125,20 @@ def semi_hamiltonian_check(sys: SystemDef, *, tol_zero: float = TOL_ZERO,
     _require_diagonal(sys)
     pts = sample_box(sys.box, SAMPLES)
     gap = _check_hyperbolicity(sys, pts, gap_tol)
-    n = sys.N
-    a = _a_table(sys)
-    diffs = [differentiate(a[nu, mu], sys.coords[lam])
-             - differentiate(a[nu, lam], sys.coords[mu])
-             for nu in range(n) for mu in range(n) for lam in range(mu + 1, n)
-             if len({nu, mu, lam}) == 3]
-    vals = _values_at(sys, diffs, pts)
+    v, dv, ddv = jet_table(sys.v_diag, sys.coords, sys.params, pts, 2)
+    nu, mu, lam = np.array([t for t in itertools.permutations(range(sys.N), 3)
+                            if t[1] < t[2]], dtype=int).reshape(-1, 3).T
+
+    def d_coupling(nu, mu, lam):    # d_lam a[nu, mu] for a = u / w
+        u, w = dv[:, mu, nu], v[:, mu] - v[:, nu]
+        du, dw = ddv[:, lam, mu, nu], dv[:, lam, mu] - dv[:, lam, nu]
+        return (du * w - u * dw) / (w * w)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = d_coupling(nu, mu, lam) - d_coupling(nu, lam, mu)
     residual, witness = fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))
-    count = len(diffs)
     return SemiHamiltonianReport(sys.name, residual, tol_zero,
-                                 residual < tol_zero, witness, count, gap)
+                                 residual < tol_zero, witness, len(nu), gap)
 
 
 # --- commuting flows ---------------------------------------------------------
@@ -153,8 +148,9 @@ class CommutingFlow:
 
     ``residual`` is the largest violation of the defining relation
     d_mu w^nu = a_{nu mu} (w^mu - w^nu) found when the flow was built or
-    verified; ``provenance`` records whether the flow was integrated here
-    or supplied by the caller.
+    verified, and ``witness`` the sample point where a closed-form flow
+    violates it most (None otherwise); ``provenance`` records whether the
+    flow was integrated here or supplied by the caller.
     """
 
     def __init__(self, coords, *, exprs=None, axes=None, values=None,
@@ -165,16 +161,14 @@ class CommutingFlow:
         self.axes = axes
         self.values = values
         self.residual = residual
+        self.witness = None
         self.tol = tol
         self.provenance = provenance
         if (exprs is None) == (values is None):
             raise ValueError("flow needs either closed-form exprs or sampled values")
         if exprs is not None:
             self.kind = "closed-form"
-            self._w = np.array(exprs, dtype=object)
-            # [nu, mu] = d w^nu / d R^mu
-            self._dw = np.array([[differentiate(e, c) for c in self.coords]
-                                 for e in exprs], dtype=object)
+            self._w = compile_table(np.array(exprs, dtype=object))
         else:
             self.kind = "sampled"
             if len(self.coords) != 2:
@@ -204,7 +198,8 @@ class CommutingFlow:
         matrix axis.
         """
         if self.kind == "closed-form":
-            return evaluate_table(self._dw, self.coords, self.params, point)
+            d1 = jet_table(self._w, self.coords, self.params, point, 1)[1]
+            return np.swapaxes(d1, -1, -2)
         return self._hermite(point, (1, 0), (0, 1))
 
 
@@ -286,7 +281,8 @@ class _HermiteGrid:
 
 def closed_form_flow(sys: SystemDef, exprs, *,
                      gap_tol: float = GAP_TOL) -> CommutingFlow:
-    """Wrap closed-form w components and measure their defining residual."""
+    """Wrap closed-form w components and measure their defining residual,
+    with the sample point where it is largest as the flow's witness."""
     _require_diagonal(sys)
     symbols = set(sys.coords) | set(sys.params)
     parsed = tuple(as_expr(e, symbols, "flow") for e in exprs)
@@ -294,14 +290,15 @@ def closed_form_flow(sys: SystemDef, exprs, *,
         raise ValueError(f"need {sys.N} flow components, got {len(parsed)}")
     pts = sample_box(sys.box, SAMPLES)
     _check_hyperbolicity(sys, pts, gap_tol)
-    a = _a_table(sys)
-    diffs = [differentiate(parsed[nu], sys.coords[mu])
-             - a[nu, mu] * (parsed[mu] - parsed[nu])
-             for nu in range(sys.N) for mu in range(sys.N) if mu != nu]
-    vals = _values_at(sys, diffs, pts)
-    residual = fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))[0]
-    return CommutingFlow(sys.coords, exprs=parsed, params=sys.params,
-                         residual=residual, provenance="user-supplied")
+    flow = CommutingFlow(sys.coords, exprs=parsed, params=sys.params,
+                         provenance="user-supplied")
+    nu, mu = np.nonzero(~np.eye(sys.N, dtype=bool))
+    a = _coupling(*jet_table(sys.v_diag, sys.coords, sys.params, pts, 1), nu, mu)
+    w, dw = flow.w_at(pts), flow.dw_at(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = dw[:, nu, mu] - a * (w[:, mu] - w[:, nu])
+    flow.residual, flow.witness = fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))
+    return flow
 
 
 def _march_boundary(wline, other, a_line, coord, start, direction):
@@ -366,18 +363,18 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
     grid = np.stack(np.meshgrid(r1, r2, indexing="ij"), axis=-1)
     flat = grid.reshape(-1, 2)
     _check_hyperbolicity(sys, flat, gap_tol)
-    a = _a_table(sys)
     n1, n2 = len(r1), len(r2)
-    a12, a21 = _values_at(sys, (a[0, 1], a[1, 0]), flat).T.reshape(2, n1, n2)
+    a12, a21 = _coupling(*jet_table(sys.v_diag, sys.coords, sys.params, flat, 1),
+                         [0, 1], [1, 0]).T.reshape(2, n1, n2)
 
     symbols = set(sys.coords) | set(sys.params)
-    w1e = as_expr(w1, symbols, "boundary")
-    w2e = as_expr(w2, symbols, "boundary")
+    w1e, w2e = (np.array(as_expr(e, symbols, "boundary"), dtype=object)
+                for e in (w1, w2))
     w = np.empty((2, n1, n2))
     w.fill(np.nan)
     # boundary data on the axis lines R^2 = r2[j0] and R^1 = r1[i0]
-    w[0, :, j0] = _values_at(sys, [w1e], grid[:, j0])[:, 0]
-    w[1, i0, :] = _values_at(sys, [w2e], grid[i0, :])[:, 0]
+    w[0, :, j0] = evaluate_table(w1e, sys.coords, sys.params, grid[:, j0])
+    w[1, i0, :] = evaluate_table(w2e, sys.coords, sys.params, grid[i0, :])
 
     # complete the boundary cross: the partner component on each axis line
     for direction in (1, -1):
@@ -541,14 +538,16 @@ def spacetime_window(sys: SystemDef, flow: CommutingFlow, seed):
     The window is centered on the spacetime point (x*, t*) where the seed
     solves the first two equations w^nu(R) = t v^nu(R) + x, and sized from
     the inverse Jacobian so the solution branch stays well inside the
-    coordinate box.
+    coordinate box.  With more than two components the seed must solve the
+    other equations at (x*, t*) too, to within ``TOL_ZERO``.
 
     Raises
     ------
     ValueError
         For single-component systems, which need an explicit window, and
-        where the seed fixes no window: equal first two velocities, or a
-        singular Jacobian dw - t* dv at the seed.
+        where the seed fixes no window: equal first two velocities, a later
+        equation that misses at (x*, t*), or a singular Jacobian dw - t* dv
+        at the seed.
     """
     if sys.N < 2:
         raise ValueError("hodograph section needs explicit x_window/t_window "
@@ -562,6 +561,13 @@ def spacetime_window(sys: SystemDef, flow: CommutingFlow, seed):
                          "there; give x_window/t_window in the hodograph section")
     tstar = (w[0] - w[1]) / (v[0] - v[1])
     xstar = w[0] - tstar * v[0]
+    miss = np.abs(w[2:] - tstar * v[2:] - xstar)
+    if miss.size and not np.max(miss) <= TOL_ZERO:
+        k = int(np.argmax(miss))    # the first NaN, if there is one
+        raise ValueError(f"cannot place a solve window at seed {where}: equation "
+                         f"{k + 3} misses by {miss[k]:.3e} at the (x*, t*) = "
+                         f"({float(xstar):.6g}, {float(tstar):.6g}) of equations "
+                         "1 and 2; give x_window/t_window in the hodograph section")
     jac = flow.dw_at(seed) - tstar * speeds_d1_at(sys, seed[None, :])[0].T
     try:
         dr_dx = np.linalg.solve(jac, np.ones(sys.N))

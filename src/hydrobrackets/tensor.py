@@ -16,9 +16,10 @@ system owns (a declared field) is compiled once per system with
 `expr.compile_table`, so a subexpression its entries share, such as the
 conformal factor of a diagonal metric, is evaluated once per batch.
 `table_at` evaluates the compiled form with `expr.evaluate_table`;
-`table_d1_at` and the geometry pass run its jets in the same executor,
-which gives the values bitwise as `table_at` does and the derivatives that
-evaluating `expr.differentiate` of each entry gives.
+`table_d1_at` and the geometry pass run its jets (`expr.jet_table`, the
+package's one derivative engine) in the same executor, which gives the
+values bitwise as `table_at` does and the derivatives that evaluating
+`expr.differentiate` of each entry, their oracle, gives.
 
 Geometry pass: the metric-derived tensors come from one evaluation per
 point batch (`_geometry`).  It evaluates the jets of the ``g_upper`` table
@@ -58,7 +59,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateHyperbolicityWarning, DomainError, SingularMetricError
-from .expr import Number, _jet_table, compile_table, evaluate_table
+from .expr import Number, compile_table, evaluate_table, jet_table
 # not called here: perfbench/selftest.py checks the tracer wraps tensor.evaluate
 from .expr import evaluate  # noqa: F401
 from .system import SystemDef
@@ -110,7 +111,7 @@ def table_at(sys: SystemDef, exprs, pts):
 
 def _jets(sys, exprs, pts, order):
     """``[values, d1, ...]`` of ``exprs`` up to ``order`` in one jet pass."""
-    return _jet_table(_compiled(sys, exprs), sys.coords, sys.params, pts, order)
+    return jet_table(_compiled(sys, exprs), sys.coords, sys.params, pts, order)
 
 
 def table_d1_at(sys: SystemDef, exprs, pts):

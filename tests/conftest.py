@@ -1,10 +1,19 @@
-"""Shared system builders used across the test modules.
+"""Shared system builders used across the test modules, and the symbolic
+coupling that the hodograph tests take as their oracle.
 
-These are constructed directly (not loaded from the shipped configuration
-library) so the tests pin the definitions independently.
+The systems are constructed directly (not loaded from the shipped
+configuration library) so the tests pin the definitions independently.
 """
 
+from hydrobrackets.expr import differentiate
 from hydrobrackets.system import Box, SystemDef
+
+
+def symbolic_coupling(sys, nu, mu):
+    """a[nu][mu] = d_mu v^nu / (v^mu - v^nu) as an expression tree built by
+    `differentiate`: the oracle of `hodograph`'s coupling from the jets."""
+    return (differentiate(sys.v_diag[nu], sys.coords[mu])
+            / (sys.v_diag[mu] - sys.v_diag[nu]))
 
 
 def canonical_system(n=2):

@@ -94,6 +94,7 @@ PUBLIC_OPTIONS = {
     "expr.differentiate": (),
     "expr.evaluate": (),
     "expr.evaluate_table": (),
+    "expr.jet_table": (),
     "expr.compile_table": (),
     "expr.to_source": (),
     "expr.free_names": (),

@@ -524,6 +524,21 @@ def test_hodograph_force_bypasses_the_gate(tmp_path, capsys):
     assert "no commuting flow" in capsys.readouterr().err
 
 
+def test_hodograph_refuses_a_closed_form_flow_off_its_relation(tmp_path, capsys):
+    # epsilon3 passes its compatibility check, but this w is no commuting flow
+    doc = builtin_doc("epsilon3")
+    doc["hodograph"] = {"w": ["R2*R3 + (R2 + R3)^2", "R1*R3 + (R1 + R3)^2",
+                              "R1*R2 + (R1 + R2)^2"]}
+    assert main(["hodograph", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        "flow [closed-form]: defining residual 2.711e+00 (user-supplied)"]
+    assert captured.err == (
+        "refusing to solve: the flow misses its defining relation by "
+        "2.711e+00 (tol_goursat 1.0e-05) at R = (0.10625000000000001, "
+        "1.4160493827160494, 2.8167999999999997)\n")
+
+
 def test_hodograph_two_component_pipeline(tmp_path, capsys):
     out = tmp_path / "solution.csv"
     assert main(["hodograph", "shallow_water_riemann", "--grid", "128",

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import (
     epsilon_system, hopf_system, shallow_water_riemann_system, sphere_system,
 )
-from hydrobrackets import expr, library, verify
+from hydrobrackets import cli, expr, library, verify
 from hydrobrackets import fieldbracket as fb
 from hydrobrackets import hodograph as hg
 from hydrobrackets import tensor as tz
@@ -65,8 +65,8 @@ def ref_env(functional, values):
 def ref_variational(functional, values):
     env = ref_env(functional, values)
     out = np.empty(values.shape)
-    for k, g in enumerate(functional.gradient):
-        out[..., k, :] = evaluate(g, env)
+    for k, c in enumerate(functional.coords):
+        out[..., k, :] = evaluate(differentiate(functional.density, c), env)
     return out
 
 
@@ -476,6 +476,33 @@ def expr_callers(function):
 def test_only_expr_calls_evaluate():
     assert len(list(SRC.glob("*.py"))) > 5
     assert expr_callers("evaluate") == []
+
+
+def test_only_expr_calls_differentiate():
+    """Derivatives are numbers from `expr.jet_table`; no module builds trees."""
+    assert expr_callers("differentiate") == []
+
+
+def test_no_derivative_tree_is_built_at_run_time(monkeypatch, tmp_path, capsys):
+    """Every built-in command and a classify of generated metrics run with
+    the tree differentiation rule (`expr._diff`) raising."""
+    def tree(*args):
+        raise AssertionError("a derivative tree was built")
+
+    monkeypatch.setattr(expr, "_diff", tree)
+    with pytest.raises(AssertionError):
+        differentiate(parse("x^2", ["x"]), "x")
+    variants = [["check", "--class", c] for c in ("dn", "mf", "fer", "liouville", "auto")]
+    variants += [["flat-coords"], ["flat-coords", "--grid", "16"], ["jacobi"],
+                 ["jacobi", "--seed", "7"], ["jacobi", "--grid", "32"],
+                 ["hodograph"], ["hodograph", "--grid", "16"]]
+    out = str(tmp_path / "out")
+    for name in library.names():
+        for argv in variants:
+            cli.main([argv[0], name] + argv[1:] + ["--out", out])
+    capsys.readouterr()
+    for case in GENERATED:
+        verify.classify(case.values[0])
 
 
 def test_only_expr_calls_parse():

@@ -228,13 +228,13 @@ def test_power_rule_for_a_symbolic_exponent_is_smooth_at_zero():
     assert evaluate(differentiate(d, "x"), env) == 2.0
     table = np.array([tree], dtype=object)
     for order in (1, 2):
-        got = ex._jet_table(table, ["x"], {"a": 2.0}, np.array([[0.0]]), order)
+        got = ex.jet_table(table, ["x"], {"a": 2.0}, np.array([[0.0]]), order)
         assert [float(t.ravel()[0]) for t in got] == [0.0, 0.0, 2.0][:order + 1]
     # a = 0 still meets 0^-1, in both forms
     with pytest.raises(DomainError):
         evaluate(d, {"x": 0.0, "a": 0.0})
     with pytest.raises(DomainError, match="derivative: power outside domain"):
-        ex._jet_table(table, ["x"], {"a": 0.0}, np.array([[0.0]]), 1)
+        ex.jet_table(table, ["x"], {"a": 0.0}, np.array([[0.0]]), 1)
 
 
 def test_diff_abs():

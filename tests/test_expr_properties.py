@@ -171,7 +171,7 @@ def check_jets(tree, coords, params):
     for order in (1, 2):
         want = _symbolic_jet(tree, env, order)
         try:
-            got = expr._jet_table(table, JET_COORDS, params, np.array([coords]), order)
+            got = expr.jet_table(table, JET_COORDS, params, np.array([coords]), order)
         except DomainError:
             got = None
         assert (got is None) == (want is None), order

@@ -5,23 +5,28 @@ where the flow marching is exact), a three-component symmetric-coupling
 system whose compatibility residual vanishes identically, and the scalar
 conservation law with a quadratic flow, whose hodograph solution has a
 closed form to compare against.  Compatibility residuals are cross-checked
-with a nested finite-difference oracle that never touches the symbolic
-derivative path.
+with a nested finite-difference oracle, and residual and witness with the
+symbolic path the check took before it used the jets (`differentiate`d
+coupling trees).
 """
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import epsilon_system, hopf_system, shallow_water_riemann_system
+from conftest import (
+    epsilon_system, hopf_system, shallow_water_riemann_system, symbolic_coupling,
+)
 from hydrobrackets import hodograph as hg
 from hydrobrackets.errors import (
     HyperbolicityViolationError, NonConvergenceError, RegionTooSmallError,
     SeedOutOfBoxError,
 )
-from hydrobrackets.expr import evaluate
-from hydrobrackets.system import Box, SystemDef
+from hydrobrackets.expr import differentiate, evaluate, evaluate_table
+from hydrobrackets.system import Box, SystemDef, sample_box
+from hydrobrackets.verify import SAMPLES, fold_worst
 
 
 def coupled_bad_system():
@@ -121,6 +126,33 @@ def test_residual_matches_finite_difference_oracle():
     fd = fd_compatibility_residual(coupled_bad_system(), rep.witness)
     # the report residual is the max over triples at the witness point
     assert abs(fd - rep.residual) < 1e-6 * max(1.0, rep.residual)
+
+
+def symbolic_compatibility(sys):
+    """Residual and witness of the compatibility conditions over the sample
+    sweep, evaluated from `differentiate`d coupling trees, triple by triple
+    in the order the check takes them."""
+    pts = sample_box(sys.box, SAMPLES)
+    diffs = [differentiate(symbolic_coupling(sys, nu, mu), sys.coords[lam])
+             - differentiate(symbolic_coupling(sys, nu, lam), sys.coords[mu])
+             for nu, mu, lam in itertools.permutations(range(sys.N), 3) if mu < lam]
+    vals = evaluate_table(np.array(diffs, dtype=object), sys.coords, sys.params, pts)
+    return fold_worst(np.moveaxis(vals, 1, 0), pts, (0.0, None))
+
+
+@pytest.mark.parametrize("v_diag", [
+    ["R2 + R3 + R2*R3", "R1 + R3", "R1 + R2"],
+    ["R2*R3^2", "R1 + R3", "R1*R2"],
+    ["exp(R2)*R3", "R1 + sin(R3)", "R1*R2 - 2"],
+])
+def test_residual_and_witness_match_the_symbolic_oracle(v_diag):
+    sys = SystemDef(("R1", "R2", "R3"), v_diag=v_diag,
+                    box=Box((0.1, 1.1, 2.1), (0.9, 1.9, 2.9)), name="failing")
+    rep = hg.semi_hamiltonian_check(sys)
+    residual, witness = symbolic_compatibility(sys)
+    assert not rep.passed
+    assert rep.witness == witness
+    assert abs(rep.residual - residual) <= 1e-12 * residual
 
 
 def test_verdict_survives_coordinate_relabeling():
@@ -316,7 +348,7 @@ def test_mixed_derivative_consistency():
     # d1(d2 w^0) computed two ways: differencing the marched grid twice,
     # and differencing the coupling term of the defining relation once
     sys = shallow_water_riemann_system()
-    a01 = hg._a_table(sys)[0, 1]
+    a01 = symbolic_coupling(sys, 0, 1)
 
     def mixed_gap(res):
         fl = hg.integrate_commuting_flow(sys, "R1^2/2", "R2^2/2 - 5",

@@ -2,8 +2,9 @@
 
 The oracles are the earlier scalar implementations, frozen here: one damped
 Newton per spacetime point in raster order (row 0 from the seed at every
-point first), and the cell-by-cell double loop of the march.  The batched
-code keeps every point's arithmetic, so the comparisons are bitwise.
+point first), and the cell-by-cell double loop of the march over the
+coupling evaluated from `differentiate`d trees.  The batched code keeps
+every point's arithmetic, so the comparisons are bitwise.
 """
 
 import json
@@ -12,11 +13,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import hopf_system, shallow_water_riemann_system
+from conftest import (
+    epsilon_system, hopf_system, shallow_water_riemann_system, symbolic_coupling,
+)
 from hydrobrackets import cli
 from hydrobrackets import hodograph as hg
 from hydrobrackets.errors import DomainError, NonConvergenceError
-from hydrobrackets.expr import parse
+from hydrobrackets.expr import evaluate_table, parse
 from hydrobrackets.system import Box, SystemDef, sample_box
 
 BUILTIN = pathlib.Path(cli.__file__).resolve().parent / "builtin"
@@ -120,6 +123,13 @@ def oracle_solve(sys, flow, *, x_window, t_window, nx, nt, seed,
     return hg.HodographSolution(sys.name, xs, ts, rr, res, conv, newton_tol)
 
 
+def symbolic_couplings(sys, pts):
+    """a12 and a21 at ``pts``, shape (P, 2), evaluated from their trees."""
+    table = np.array([symbolic_coupling(sys, 0, 1), symbolic_coupling(sys, 1, 0)],
+                     dtype=object)
+    return evaluate_table(table, sys.coords, sys.params, pts)
+
+
 def oracle_march(sys, w1, w2, *, resolution, basepoint=None):
     """Values and residual of the cell-by-cell march."""
     box = sys.box
@@ -131,12 +141,13 @@ def oracle_march(sys, w1, w2, *, resolution, basepoint=None):
     j0 = int(np.argmin(np.abs(r2 - basepoint[1])))
     grid = np.stack(np.meshgrid(r1, r2, indexing="ij"), axis=-1)
     flat = grid.reshape(-1, 2)
-    a = hg._a_table(sys)
     n1, n2 = len(r1), len(r2)
-    a12, a21 = hg._values_at(sys, (a[0, 1], a[1, 0]), flat).T.reshape(2, n1, n2)
+    a12, a21 = symbolic_couplings(sys, flat).T.reshape(2, n1, n2)
     w = np.full((2, n1, n2), np.nan)
-    w[0, :, j0] = hg._values_at(sys, [parse(w1, sys.coords)], grid[:, j0])[:, 0]
-    w[1, i0, :] = hg._values_at(sys, [parse(w2, sys.coords)], grid[i0, :])[:, 0]
+    w[0, :, j0] = evaluate_table(np.array(parse(w1, sys.coords), dtype=object),
+                                 sys.coords, sys.params, grid[:, j0])
+    w[1, i0, :] = evaluate_table(np.array(parse(w2, sys.coords), dtype=object),
+                                 sys.coords, sys.params, grid[i0, :])
     for direction in (1, -1):
         hg._march_boundary(w[1, :, j0], w[0, :, j0], a21[:, j0], r1, i0, direction)
         hg._march_boundary(w[0, i0, :], w[1, i0, :], a12[i0, :], r2, j0, direction)
@@ -470,17 +481,19 @@ def test_singular_cell_names_the_cell_of_the_old_loop_order(monkeypatch):
     # (the third shares its column); the last sits in a later quadrant
     planted = [(i0 + 1, j0 + 5), (i0 + 10, j0 + 2), (i0 + 12, j0 + 2),
                (i0 - 3, j0 + 1)]
-    values_at = hg._values_at
 
-    def patched(sys_, exprs, pts):
-        out = values_at(sys_, exprs, pts)
-        if out.shape == ((res + 1) ** 2, 2):
+    def planting(couplings):
+        # a12, a21 over the grid, shape (P, 2), with the cells planted
+        def patched(*args):
+            out = couplings(*args)
             for i, j in planted:
                 h2 = r2[j] - r2[j - 1]
                 out[i * (res + 1) + j] = (-2.0 / h2, 0.0)
-        return out
+            return out
+        return patched
 
-    monkeypatch.setattr(hg, "_values_at", patched)
+    monkeypatch.setattr(hg, "_coupling", planting(hg._coupling))
+    monkeypatch.setitem(globals(), "symbolic_couplings", planting(symbolic_couplings))
     with pytest.raises(NonConvergenceError) as ours:
         hg.integrate_commuting_flow(sys, "R1", "R2", resolution=res,
                                     basepoint=(1.5, 3.5))
@@ -529,6 +542,30 @@ def test_window_with_equal_velocities_raises_value_error():
 def test_cli_singular_window_exits_1(tmp_path, capsys):
     assert cli.main(["hodograph", str(swr_velocity_config(tmp_path))]) == 1
     assert capsys.readouterr().err == f"error: {SINGULAR_WINDOW_MESSAGE}\n"
+
+
+# a true commuting flow of epsilon3; the seed solves equations 1 and 2 at
+# (x*, t*) = (-6.25, 2.5) but not equation 3, so it lies on no solution
+EPSILON_FLOW = ["R2*R3", "R1*R3", "R1*R2"]
+MISSED_WINDOW_MESSAGE = (
+    "cannot place a solve window at seed (0.5, 1.5, 2.5): equation 3 misses by "
+    "2.000e+00 at the (x*, t*) = (-6.25, 2.5) of equations 1 and 2; give "
+    "x_window/t_window in the hodograph section")
+
+
+def test_window_checks_every_equation(tmp_path, capsys):
+    sys = epsilon_system()
+    flow = hg.closed_form_flow(sys, EPSILON_FLOW)
+    assert flow.residual < hg.TOL_GOURSAT
+    with pytest.raises(ValueError) as err:
+        hg.spacetime_window(sys, flow, (0.5, 1.5, 2.5))
+    assert str(err.value) == MISSED_WINDOW_MESSAGE
+    doc = json.loads((BUILTIN / "epsilon3.json").read_text(encoding="utf-8"))
+    doc["hodograph"] = {"w": EPSILON_FLOW, "seed": [0.5, 1.5, 2.5]}
+    path = tmp_path / "epsilon3-flow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["hodograph", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {MISSED_WINDOW_MESSAGE}\n"
 
 
 # --- CLI contract -----------------------------------------------------------------
