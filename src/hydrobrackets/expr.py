@@ -18,11 +18,13 @@ batch; it is the one path by which the other modules evaluate expressions.
 evaluates each subexpression its entries share once per batch; `tensor`
 compiles the tables a system owns.
 
-Derivatives come two ways from one set of rules (`_rule`).  At run time
-every derivative is a number from the jets: `jet_table` evaluates a table
-in the executor `evaluate_table` uses, carrying each value with its
-derivatives in every coordinate through one pass and folding constants as
-`differentiate` folds them.  `tensor`, `hodograph` and `fieldbracket` take
+Derivatives come two ways from one set of rules (`_rule`) and one set of
+constant folds (`_fold_add` ... `_fold_neg`), each written once over an
+arithmetic that reads a constant, makes one and makes a node: expression
+trees (`_SYMBOLIC`) or jet values (`_JETS`).  At run time every derivative
+is a number from the jets: `jet_table` evaluates a table in the executor
+`evaluate_table` uses, carrying each value with its derivatives in every
+coordinate through one pass.  `tensor`, `hodograph` and `fieldbracket` take
 their derivatives from it.  `differentiate` builds the derivative tree; it
 is public API and the oracle of the tests, and no other module calls it.
 """
@@ -56,34 +58,34 @@ class Expr:
     __slots__ = ()
 
     def __add__(self, other):
-        return _fold_add(self, _coerce(other))
+        return _fold_add(_SYMBOLIC, self, _coerce(other))
 
     def __radd__(self, other):
-        return _fold_add(_coerce(other), self)
+        return _fold_add(_SYMBOLIC, _coerce(other), self)
 
     def __sub__(self, other):
-        return _fold_sub(self, _coerce(other))
+        return _fold_sub(_SYMBOLIC, self, _coerce(other))
 
     def __rsub__(self, other):
-        return _fold_sub(_coerce(other), self)
+        return _fold_sub(_SYMBOLIC, _coerce(other), self)
 
     def __mul__(self, other):
-        return _fold_mul(self, _coerce(other))
+        return _fold_mul(_SYMBOLIC, self, _coerce(other))
 
     def __rmul__(self, other):
-        return _fold_mul(_coerce(other), self)
+        return _fold_mul(_SYMBOLIC, _coerce(other), self)
 
     def __truediv__(self, other):
-        return _fold_div(self, _coerce(other))
+        return _fold_div(_SYMBOLIC, self, _coerce(other))
 
     def __rtruediv__(self, other):
-        return _fold_div(_coerce(other), self)
+        return _fold_div(_SYMBOLIC, _coerce(other), self)
 
     def __pow__(self, other):
-        return _fold_pow(self, _coerce(other))
+        return _fold_pow(_SYMBOLIC, self, _coerce(other))
 
     def __neg__(self):
-        return _fold_neg(self)
+        return _fold_neg(_SYMBOLIC, self)
 
     def __str__(self):
         return to_source(self)
@@ -148,77 +150,91 @@ def _coerce(value):
     raise TypeError(f"cannot use {value!r} in an expression")
 
 
-def _is_const(e, v=None):
-    return isinstance(e, Number) and (v is None or e.value == v)
+# The folds, written once for two arithmetics: expression trees
+# (`_SYMBOLIC`) and jet values (`_JETS`).  ``o.const`` reads a constant
+# (``None`` for anything else), ``o.num`` makes one and ``o.node`` makes the
+# node of an operator.  Only a Python float is ever zero or one: a stack of
+# row constants is neither, and a parameter is an `np.float64` node.
 
-
-def _fold_add(a, b):
-    if _is_const(a, 0.0):
+def _fold_add(o, a, b):
+    ca, cb = o.const(a), o.const(b)
+    if type(ca) is float and ca == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if type(cb) is float and cb == 0.0:
         return a
-    if _is_const(a) and _is_const(b):
-        return Number(a.value + b.value)
-    return Add(a, b)
+    if ca is not None and cb is not None:
+        return o.num(ca + cb)
+    return o.node(Add, a, b)
 
 
-def _fold_sub(a, b):
-    if _is_const(b, 0.0):
+def _fold_sub(o, a, b):
+    ca, cb = o.const(a), o.const(b)
+    if type(cb) is float and cb == 0.0:
         return a
-    if _is_const(a) and _is_const(b):
-        return Number(a.value - b.value)
-    if _is_const(a, 0.0):
-        return _fold_neg(b)
-    return Sub(a, b)
+    if ca is not None and cb is not None:
+        return o.num(ca - cb)
+    if type(ca) is float and ca == 0.0:
+        return _fold_neg(o, b)
+    return o.node(Sub, a, b)
 
 
-def _fold_mul(a, b):
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Number(0.0)
-    if _is_const(a, 1.0):
+def _fold_mul(o, a, b):
+    ca, cb = o.const(a), o.const(b)
+    if type(ca) is float and ca == 0.0 or type(cb) is float and cb == 0.0:
+        return o.num(0.0)
+    if type(ca) is float and ca == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if type(cb) is float and cb == 1.0:
         return a
-    if _is_const(a) and _is_const(b):
-        return Number(a.value * b.value)
-    return Mul(a, b)
+    if ca is not None and cb is not None:
+        return o.num(ca * cb)
+    return o.node(Mul, a, b)
 
 
-def _fold_div(a, b):
-    if _is_const(a, 0.0):
-        return Number(0.0)
-    if _is_const(b, 1.0):
+def _fold_div(o, a, b):
+    ca, cb = o.const(a), o.const(b)
+    if type(ca) is float and ca == 0.0:
+        return o.num(0.0)
+    if type(cb) is float and cb == 1.0:
         return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return Number(a.value / b.value)
-    return Div(a, b)
+    if ca is not None and type(cb) is float and cb != 0.0:
+        return o.num(ca / cb)
+    return o.node(Div, a, b)
 
 
-def _fold_pow(base, expo):
-    if _is_const(expo, 1.0):
+def _fold_pow(o, base, expo):
+    cb, ce = o.const(base), o.const(expo)
+    if type(ce) is float and ce == 1.0:
         return base
-    if _is_const(expo, 0.0):
-        return Number(1.0)
-    if _is_const(base, 1.0):
-        return Number(1.0)
-    if _is_const(base) and _is_const(expo):
-        b, e = base.value, expo.value
-        if b > 0.0 or float(e).is_integer():
-            # a power that is not a finite float (0^-1, 2^2000) stays a Pow,
-            # so evaluation reports it as it does any other
-            with np.errstate(all="ignore"):
-                value = float(np.power(b, e))
-            if math.isfinite(value):
-                return Number(value)
-    return Pow(base, expo)
+    if type(ce) is float and ce == 0.0 or type(cb) is float and cb == 1.0:
+        return o.num(1.0)
+    if type(cb) is float and type(ce) is float and (cb > 0.0 or ce.is_integer()):
+        # a power that is not a finite float (0^-1, 2^2000) stays a Pow,
+        # so evaluation reports it as it does any other
+        with np.errstate(all="ignore"):
+            value = float(np.power(cb, ce))
+        if math.isfinite(value):
+            return o.num(value)
+    return o.node(Pow, base, expo)
 
 
-def _fold_neg(a):
-    if isinstance(a, Neg):
+def _fold_neg(o, a):
+    if isinstance(a, Neg):          # a tree only: a jet value is never a Neg
         return a.operand
-    if _is_const(a):
-        return Number(-a.value)
-    return Neg(a)
+    c = o.const(a)
+    if c is not None:
+        return o.num(-c)
+    return o.node(Neg, a)
+
+
+def _build(op, *args):
+    """The node of ``op``, a node class or a function name, over ``args``."""
+    return Call(op, *args) if isinstance(op, str) else op(*args)
+
+
+_SYMBOLIC = SimpleNamespace(
+    const=lambda e: float(e.value) if isinstance(e, Number) else None,
+    num=Number, node=_build)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -415,50 +431,49 @@ def _rule(o, op, args, dargs, value):
 
     ``args`` are the operands, ``dargs`` their derivatives and ``value``
     the node itself.  `differentiate` runs the rule over expression trees
-    (``o`` folds constants and builds nodes); jets run it over values (``o``
-    folds the same constants and evaluates; ``value`` is the node's value),
-    so both take the same branches.
+    (`_SYMBOLIC` builds nodes); jets run it over values (`_JETS` evaluates
+    them; ``value`` is the node's value).  Both fold through the same
+    `_fold_*` functions, so both take the same branches.
     """
     if op is Neg:
-        return o.neg(dargs[0])
+        return _fold_neg(o, dargs[0])
     if op is Add:
-        return o.add(*dargs)
+        return _fold_add(o, *dargs)
     if op is Sub:
-        return o.sub(*dargs)
+        return _fold_sub(o, *dargs)
     if op in (Mul, Div, Pow):
         (a, b), (da, db) = args, dargs
         if op is Mul:
-            return o.add(o.mul(da, b), o.mul(a, db))
+            return _fold_add(o, _fold_mul(o, da, b), _fold_mul(o, a, db))
         if op is Div:
-            return o.div(o.sub(o.mul(da, b), o.mul(a, db)), o.mul(b, b))
-        if o.is_zero(db):
+            return _fold_div(o, _fold_sub(o, _fold_mul(o, da, b), _fold_mul(o, a, db)),
+                             _fold_mul(o, b, b))
+        cdb = o.const(db)
+        if type(cdb) is float and cdb == 0.0:
             # power rule: the exponent is constant in the variable
-            return o.mul(o.mul(b, o.pow(a, o.sub(b, o.num(1.0)))), da)
+            power = _fold_pow(o, a, _fold_sub(o, b, o.num(1.0)))
+            return _fold_mul(o, _fold_mul(o, b, power), da)
         # general rule d(u^v) = u^v (v' log u + v u'/u), defined for u > 0
-        return o.mul(value, o.add(o.mul(db, o.call("log", a)), o.div(o.mul(b, da), a)))
+        return _fold_mul(o, value, _fold_add(o, _fold_mul(o, db, o.node("log", a)),
+                                             _fold_div(o, _fold_mul(o, b, da), a)))
     (u,), (du,) = args, dargs
     if op == "sin":
-        return o.mul(o.call("cos", u), du)
+        return _fold_mul(o, o.node("cos", u), du)
     if op == "cos":
-        return o.neg(o.mul(o.call("sin", u), du))
+        return _fold_neg(o, _fold_mul(o, o.node("sin", u), du))
     if op == "tan":
-        c = o.call("cos", u)
-        return o.div(du, o.mul(c, c))
+        c = o.node("cos", u)
+        return _fold_div(o, du, _fold_mul(o, c, c))
     if op == "exp":
-        return o.mul(value, du)
+        return _fold_mul(o, value, du)
     if op == "log":
-        return o.div(du, u)
+        return _fold_div(o, du, u)
     if op == "sqrt":
-        return o.div(du, o.mul(o.num(2.0), value))
+        return _fold_div(o, du, _fold_mul(o, o.num(2.0), value))
     if op == "abs":
         # derivative of |u| away from u = 0; evaluation at 0 raises DomainError
-        return o.mul(o.div(u, value), du)
+        return _fold_mul(o, _fold_div(o, u, value), du)
     raise TypeError(f"no derivative rule for '{op}'")
-
-
-_SYMBOLIC = SimpleNamespace(
-    add=_fold_add, sub=_fold_sub, mul=_fold_mul, div=_fold_div, pow=_fold_pow,
-    neg=_fold_neg, call=Call, num=Number, is_zero=lambda e: _is_const(e, 0.0))
 
 
 def _diff(e, var):
@@ -580,18 +595,19 @@ def evaluate(e: Expr, env) -> float | np.ndarray:
 # the derivative stack, whose rows are the coordinates.  At order K the
 # level-0 arrays have shape (1,)*K + (P,), and level j stacks its rows on
 # axis j - 1, so the products of the rules broadcast into outer products.
-# Each level applies `_rule` with `_JETS`, which folds exactly where the
-# expression folds of `differentiate` do: a Python float is a `Number`,
+# Each level applies `_rule` with `_JETS`, so it folds through the same
+# `_fold_*` functions as `differentiate`: a Python float is a `Number`,
 # `_Rows` a stack of `Number`s (a coordinate's derivative is one-hot), and
-# every other value is a node.  A derivative that leaves its domain becomes
-# a `_Pending` error, raised only if it survives the folds, as evaluating
-# the folded symbolic derivative would raise it.  The rows of a stack take
-# one branch of each rule together, where `differentiate` chooses per
-# coordinate; only the power rule's branch depends on the coordinate.  So
-# where an exponent varies with some coordinates and not others, the jets
-# take the general rule in every row.  The two agree there to rounding and
-# raise at the same points, except where a power underflows to a subnormal
-# or to zero.
+# every other value is a node, evaluated as it is made (`_node`).  A stack
+# is never zero or one, and a division by it or a power over it is a node.
+# A derivative that leaves its domain becomes a `_Pending` error, raised
+# only if it survives the folds, as evaluating the folded symbolic
+# derivative would raise it.  The rows of a stack take one branch of each
+# rule together, where `differentiate` chooses per coordinate; only the
+# power rule's branch depends on the coordinate.  So where an exponent
+# varies with some coordinates and not others, the jets take the general
+# rule in every row.  The two agree there to rounding and raise at the same
+# points, except where a power underflows to a subnormal or to zero.
 
 
 class _Jet:
@@ -620,24 +636,8 @@ class _Pending:
         self.message, self.expr = message, None
 
 
-def _numeric(x):
-    return type(x) is float or type(x) is _Rows
-
-
-def _const(x, v):
-    return type(x) is float and x == v
-
-
 def _unwrap(x):
     return x.rows if type(x) is _Rows else x
-
-
-def _numbers(fn, a, b):
-    """``fn`` over two constants, kept a constant: `_fold_*` on `Number`s."""
-    if type(a) is float and type(b) is float:
-        return fn(a, b)
-    rows = fn(_unwrap(a), _unwrap(b))
-    return _Rows(rows) if np.count_nonzero(rows) else 0.0
 
 
 def _node(op, *args):
@@ -661,72 +661,18 @@ def _node(op, *args):
     return _Jet(v, _rule(_JETS, op, values, dargs, v))
 
 
-def _jadd(a, b):
-    if _const(a, 0.0):
-        return b
-    if _const(b, 0.0):
-        return a
-    if _numeric(a) and _numeric(b):
-        return _numbers(operator.add, a, b)
-    return _node(Add, a, b)
+def _jet_const(x):
+    t = type(x)
+    return x if t is float else x.rows if t is _Rows else None
 
 
-def _jsub(a, b):
-    if _const(b, 0.0):
-        return a
-    if _numeric(a) and _numeric(b):
-        return _numbers(operator.sub, a, b)
-    if _const(a, 0.0):
-        return _jneg(b)
-    return _node(Sub, a, b)
+def _jet_num(c):
+    if type(c) is float:
+        return c
+    return _Rows(c) if np.count_nonzero(c) else 0.0
 
 
-def _jmul(a, b):
-    if _const(a, 0.0) or _const(b, 0.0):
-        return 0.0
-    if _const(a, 1.0):
-        return b
-    if _const(b, 1.0):
-        return a
-    if _numeric(a) and _numeric(b):
-        return _numbers(operator.mul, a, b)
-    return _node(Mul, a, b)
-
-
-def _jdiv(a, b):
-    if _const(a, 0.0):
-        return 0.0
-    if _const(b, 1.0):
-        return a
-    if _numeric(a) and type(b) is float and b != 0.0:
-        return _numbers(operator.truediv, a, b)
-    return _node(Div, a, b)
-
-
-def _jpow(a, b):
-    if _const(b, 1.0):
-        return a
-    if _const(b, 0.0) or _const(a, 1.0):
-        return 1.0
-    if type(a) is float and type(b) is float and (a > 0.0 or b.is_integer()):
-        with np.errstate(all="ignore"):
-            value = float(np.power(a, b))
-        if math.isfinite(value):
-            return value
-    return _node(Pow, a, b)
-
-
-def _jneg(a):
-    if type(a) is float:
-        return -a
-    if type(a) is _Rows:
-        return _Rows(-a.rows)
-    return _node(Neg, a)
-
-
-_JETS = SimpleNamespace(
-    add=_jadd, sub=_jsub, mul=_jmul, div=_jdiv, pow=_jpow, neg=_jneg,
-    call=_node, num=float, is_zero=lambda x: _const(x, 0.0))
+_JETS = SimpleNamespace(const=_jet_const, num=_jet_num, node=_node)
 
 
 def _claim(x, e):
@@ -898,12 +844,6 @@ def _label(e):
     return None
 
 
-def _rebuild(e, kids):
-    if isinstance(e, Call):
-        return Call(e.func, *kids)
-    return type(e)(*kids)
-
-
 def _number(e, seen, keys, nodes):
     """Value number of ``e``; ``nodes[vn]`` is ``(node, child numbers)``."""
     vn = seen.get(id(e))
@@ -942,8 +882,8 @@ def compile_table(exprs):
         if child:
             for c in child:
                 read += [temps[c]] if c in temps else reads[c]
-            e = _rebuild(e, [Name(temps[c]) if c in temps else forms[c]
-                             for c in child])
+            e = _build(_op(e), *[Name(temps[c]) if c in temps else forms[c]
+                                 for c in child])
         forms.append(e)
         reads.append(read)
         name = f"#{len(temps)}" if child and uses[vn] > 1 else None
@@ -965,6 +905,9 @@ _PREC = {Add: 10, Sub: 10, Mul: 20, Div: 20, Neg: 30, Pow: 40}
 
 
 def _prec(e):
+    if type(e) is Number and e.value < 0:
+        # a negative constant prints with its sign: a base wraps it, (-2)^x
+        return _PREC[Neg]
     return _PREC.get(type(e), 100)
 
 
@@ -981,7 +924,12 @@ def _format_number(v):
 
 
 def to_source(e: Expr) -> str:
-    """Render a tree to text that reparses to a structurally identical tree."""
+    """Render a tree to text that reparses to a tree of the same values.
+
+    The reparsed tree is structurally identical, except that a negative
+    constant comes back as the negation of its magnitude: ``Number(-2.0)``
+    prints as ``-2`` and reparses as ``Neg(Number(2.0))``.
+    """
     if isinstance(e, Number):
         return _format_number(e.value)
     if isinstance(e, Name):
@@ -1007,12 +955,4 @@ def free_names(e: Expr) -> frozenset[str]:
     """Set of symbol names appearing in ``e``."""
     if isinstance(e, Name):
         return frozenset((e.name,))
-    if isinstance(e, (Number,)):
-        return frozenset()
-    if isinstance(e, Neg):
-        return free_names(e.operand)
-    if isinstance(e, Call):
-        return free_names(e.operand)
-    if isinstance(e, Pow):
-        return free_names(e.base) | free_names(e.exponent)
-    return free_names(e.left) | free_names(e.right)
+    return frozenset().union(*map(free_names, _children(e)))

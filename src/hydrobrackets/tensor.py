@@ -193,10 +193,11 @@ def metric_lower_at(sys: SystemDef, pts):
 
 
 def _lower_d1(lower, upper_d1):
-    # d_r(g^{-1}) = -g^{-1} (d_r g) g^{-1}
-    low = lower[:, None]
-    out = low @ upper_d1 @ low
-    return np.negative(out, out=out)
+    # d_r(g^{-1}) = -g^{-1} (d_r g) g^{-1}; the right factor is one
+    # (N^2, N) @ (N, N) product per point
+    p, n = lower.shape[:2]
+    out = (lower[:, None] @ upper_d1).reshape(p, n * n, n) @ lower
+    return np.negative(out, out=out).reshape(upper_d1.shape)
 
 
 def _geometry(sys: SystemDef, pts, *, curvature=False, levi_civita=False):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,17 @@ def test_roundtrip_manual_corners():
         assert parse(to_source(first), SYMS) == first
 
 
+def test_negative_constant_base_prints_wrapped():
+    # -2^x parses as -(2^x); the printed base must keep its sign inside
+    x = Name("x")
+    for tree, env in ((Number(-2.0) ** x, {"x": 2.0}),
+                      (Pow(Number(-2.0), Number(2.0)), {})):
+        printed = to_source(tree)
+        assert printed.startswith("(-2)^"), printed
+        assert evaluate(parse(printed, SYMS), env) == evaluate(tree, env) == 4.0
+    assert to_source(Number(-0.0) ** x) == "0^x"
+
+
 def test_roundtrip_random_trees():
     rng = np.random.default_rng(20240817)
     for _ in range(100):
@@ -266,6 +279,25 @@ def test_constant_folding_keeps_repeated_derivatives_small():
     assert abs(evaluate(d, env) - (120 + expected)) < 1e-10
 
 
+_FOLDS = (ex._fold_add, ex._fold_sub, ex._fold_mul, ex._fold_div, ex._fold_pow)
+
+
+def _outcome(result, args, value, r):
+    """A fold's result in row ``r``: its kind ("const", "operand" or
+    "node") and the bits of its value, or "DomainError"."""
+    if isinstance(result, Number) or type(result) in (float, ex._Rows):
+        kind = "const"
+    elif any(result is a for a in args):
+        kind = "operand"
+    else:
+        kind = "node"
+    try:
+        v = value(result)
+    except DomainError:
+        return kind, "DomainError"
+    return kind, np.float64(v[r] if np.ndim(v) else v).tobytes()
+
+
 def test_fold_identities():
     x = Name("x")
     assert Number(0.0) * x == Number(0.0)
@@ -273,6 +305,64 @@ def test_fold_identities():
     assert Number(1.0) * x == x
     assert x - 0.0 == x
     assert -(-x) == x
+    # an int-valued constant folds exactly as its float twin, and -0.0 as 0
+    for twin, others in ((0.0, (Number(0), Number(-0.0))), (1.0, (Number(1),))):
+        for c in others:
+            for other in (x, Number(2.5), Number(0.0), Number(1.0)):
+                for fold in _FOLDS:
+                    for args in ((c, other), (other, c)):
+                        want = fold(ex._SYMBOLIC, *[Number(twin) if a is c else a
+                                                    for a in args])
+                        got = fold(ex._SYMBOLIC, *args)
+                        assert got == want and to_source(got) == to_source(want)
+            assert ex._fold_neg(ex._SYMBOLIC, c) == Number(-twin)
+    assert x - Number(-0.0) == x and Number(-0.0) - x == Neg(x)
+    assert x ** Number(-0.0) == Number(1.0) and Number(-0.0) / x == Number(0.0)
+    # numpy refuses integers to negative integer powers; the folds read floats
+    assert Number(2) ** Number(-1) == Number(0.5)
+    # the jet representations: constants (float), a stack of row constants
+    # (neither zero nor one in any row) and node values; the tree twin of a
+    # stack is row r's Number, of a node value a Name bound to it
+    rows = np.array([2.0, -3.0])
+    env = {"x": 0.75, "y": 1.5}
+    consts = (0.0, -0.0, 1.0, 2.5, -2.0, ex._Rows(rows))
+
+    def jet_value(v):
+        if type(v) is ex._Pending:
+            raise DomainError(v.message)
+        c = ex._JETS.const(v)
+        return v if c is None else c
+
+    for fold in _FOLDS + (ex._fold_neg,):
+        arity = 1 if fold is ex._fold_neg else 2
+        for pick in itertools.product(consts + ("node",), repeat=arity):
+            jargs = tuple(np.float64(env["xy"[k]]) if isinstance(a, str) else a
+                          for k, a in enumerate(pick))
+            jet = fold(ex._JETS, *jargs)
+            if type(jet) is ex._Rows:
+                # zero in every row is the float zero, which later folds see
+                assert np.any(jet.rows), (fold.__name__, pick)
+            wants, gots = [], []
+            for r in range(len(rows)):
+                targs = tuple(Name("xy"[k]) if isinstance(a, str)
+                              else Number(float(a.rows[r])) if type(a) is ex._Rows
+                              else Number(a) for k, a in enumerate(pick))
+                tree = fold(ex._SYMBOLIC, *targs)
+                wants.append(_outcome(tree, targs, lambda t: evaluate(t, env), r))
+                gots.append(_outcome(jet, jargs, jet_value, r))
+            where = (fold.__name__, pick)
+            if gots == wants:
+                continue
+            # a stack's rows take one branch together: as a divisor or in a
+            # power it is a node, outside its domain if any row is
+            stacked = jargs[-1:] if fold is ex._fold_div else jargs
+            assert fold in (ex._fold_div, ex._fold_pow), where
+            assert any(type(a) is ex._Rows for a in stacked), where
+            assert all(g[0] == "node" for g in gots), where
+            if gots[0][1] == "DomainError":
+                assert ("node", "DomainError") in wants, where
+            else:
+                assert [g[1] for g in gots] == [w[1] for w in wants], where
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
