@@ -21,7 +21,7 @@ compiles the tables a system owns.
 Derivatives come two ways from one set of rules (`_rule`) and one set of
 constant folds (`_fold_add` ... `_fold_neg`), each written once over an
 arithmetic that reads a constant, makes one and makes a node: expression
-trees (`_SYMBOLIC`) or jet values (`_JETS`).  At run time every derivative
+trees (`_SYMBOLIC`) or jet values (`_Jets`).  At run time every derivative
 is a number from the jets: `jet_table` evaluates a table in the executor
 `evaluate_table` uses, carrying each value with its derivatives in every
 coordinate through one pass.  `tensor`, `hodograph` and `fieldbracket` take
@@ -151,7 +151,7 @@ def _coerce(value):
 
 
 # The folds, written once for two arithmetics: expression trees
-# (`_SYMBOLIC`) and jet values (`_JETS`).  ``o.const`` reads a constant
+# (`_SYMBOLIC`) and jet values (`_Jets`).  ``o.const`` reads a constant
 # (``None`` for anything else), ``o.num`` makes one and ``o.node`` makes the
 # node of an operator.  Only a Python float is ever zero or one: a stack of
 # row constants is neither, and a parameter is an `np.float64` node.
@@ -431,7 +431,7 @@ def _rule(o, op, args, dargs, value):
 
     ``args`` are the operands, ``dargs`` their derivatives and ``value``
     the node itself.  `differentiate` runs the rule over expression trees
-    (`_SYMBOLIC` builds nodes); jets run it over values (`_JETS` evaluates
+    (`_SYMBOLIC` builds nodes); jets run it over values (`_Jets` evaluates
     them; ``value`` is the node's value).  Both fold through the same
     `_fold_*` functions, so both take the same branches.
     """
@@ -595,7 +595,7 @@ def evaluate(e: Expr, env) -> float | np.ndarray:
 # the derivative stack, whose rows are the coordinates.  At order K the
 # level-0 arrays have shape (1,)*K + (P,), and level j stacks its rows on
 # axis j - 1, so the products of the rules broadcast into outer products.
-# Each level applies `_rule` with `_JETS`, so it folds through the same
+# Each level applies `_rule` with `_Jets`, so it folds through the same
 # `_fold_*` functions as `differentiate`: a Python float is a `Number`,
 # `_Rows` a stack of `Number`s (a coordinate's derivative is one-hot), and
 # every other value is a node, evaluated as it is made (`_node`).  A stack
@@ -628,20 +628,21 @@ class _Rows:
 
 class _Pending:
     """A derivative outside its domain: the message, and the node whose rule
-    met it (set by `_jet`)."""
+    met it."""
 
     __slots__ = ("message", "expr")
 
-    def __init__(self, message):
-        self.message, self.expr = message, None
+    def __init__(self, message, expr):
+        self.message, self.expr = message, expr
 
 
 def _unwrap(x):
     return x.rows if type(x) is _Rows else x
 
 
-def _node(op, *args):
-    """A node of ``op`` over ``args``, evaluated with its derivatives."""
+def _node(o, op, *args):
+    """A node of ``op`` over ``args``, evaluated with its derivatives, in
+    the jet arithmetic ``o``."""
     kinds = [type(a) for a in args]
     if _Pending in kinds:
         return args[kinds.index(_Pending)]
@@ -650,15 +651,15 @@ def _node(op, *args):
             value = _PRIMITIVES[op](*[a.rows if k is _Rows else a
                                       for a, k in zip(args, kinds)])
         except DomainError as err:
-            return _Pending(str(err))
+            return _Pending(str(err), o.expr)
         # a node's value is never a Number, so it is never folded
         return np.float64(value) if type(value) is float else value
     values = [a.v if k is _Jet else a for a, k in zip(args, kinds)]
-    v = _node(op, *values)
+    v = _node(o, op, *values)
     if type(v) is _Pending:
         return v
     dargs = [a.d if k is _Jet else 0.0 for a, k in zip(args, kinds)]
-    return _Jet(v, _rule(_JETS, op, values, dargs, v))
+    return _Jet(v, _rule(o, op, values, dargs, v))
 
 
 def _jet_const(x):
@@ -672,16 +673,22 @@ def _jet_num(c):
     return _Rows(c) if np.count_nonzero(c) else 0.0
 
 
-_JETS = SimpleNamespace(const=_jet_const, num=_jet_num, node=_node)
+class _Jets:
+    """The jet arithmetic within the rule of the node ``expr``: the
+    `_Pending` errors its nodes make name ``expr``.  `_jet` makes one per
+    node; `_JETS` names none."""
+
+    __slots__ = ("expr",)
+    const, num = staticmethod(_jet_const), staticmethod(_jet_num)
+
+    def __init__(self, expr):
+        self.expr = expr
+
+    def node(self, op, *args):
+        return _node(self, op, *args)
 
 
-def _claim(x, e):
-    """Name ``e`` in the pending errors its rule made."""
-    if type(x) is _Jet:
-        _claim(x.v, e)
-        _claim(x.d, e)
-    elif type(x) is _Pending and x.expr is None:
-        x.expr = e
+_JETS = _Jets(None)
 
 
 def _jet(e, env):
@@ -693,10 +700,9 @@ def _jet(e, env):
             return env[e.name]
         except KeyError:
             raise UnknownSymbolError(e.name) from None
-    out = _node(_op(e), *[_jet(k, env) for k in _children(e)])
+    out = _node(_Jets(e), _op(e), *[_jet(k, env) for k in _children(e)])
     if type(out) is _Pending:
         raise DomainError(out.message, e)
-    _claim(out, e)
     return out
 
 

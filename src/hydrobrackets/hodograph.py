@@ -12,8 +12,11 @@ an independent finite-difference residual audit (`verify_solution`).
 Derivatives are numbers from the jets of `expr.jet_table`: the coupling
 a[nu, mu] = d_mu v^nu / (v^mu - v^nu) (`_coupling`) and its derivatives, and
 closed-form flow Jacobians.  Grid-sampled flows interpolate with bicubic
-Hermite patches, whose interpolation error is the dominant error term of
-the two-component pipeline.
+Hermite patches (`hermite.HermiteGrid`), whose interpolation error is the
+dominant error term of the two-component pipeline.  The integration keeps
+the flow and little more: the grid and the velocity jets are released
+before the march and the couplings before the interpolation table is
+built, and its whole-grid passes run in `hermite.row_blocks`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     RegionTooSmallError, SeedOutOfBoxError,
 )
 from .expr import as_expr, compile_table, evaluate_table, jet_table
+from .hermite import HermiteGrid, row_blocks
 from .system import Box, SystemDef, sample_box
 from .verify import (
     SAMPLES, TOL_ZERO, JsonReport, fold_worst, point_list, write_csv,
@@ -58,9 +62,11 @@ def speeds_d1_at(sys: SystemDef, pts):
     return tz.table_d1_at(sys, sys.v_diag, pts)
 
 
-def _check_hyperbolicity(sys, pts, gap_tol):
+def _check_hyperbolicity(v, pts, gap_tol):
+    """The smallest pairwise gap of the velocities ``v`` (P, N) at ``pts``;
+    raises `HyperbolicityViolationError` where it is not above ``gap_tol``."""
     # smallest pairwise velocity separation per point; NaN gaps propagate
-    gaps = np.min(tz.pairwise_gaps(speeds_at(sys, pts)), axis=1, initial=math.inf)
+    gaps = np.min(tz.pairwise_gaps(v), axis=1, initial=math.inf)
     # argmin returns the first NaN when there is one
     worst = int(np.argmin(gaps))
     if not gaps[worst] > gap_tol:
@@ -70,12 +76,30 @@ def _check_hyperbolicity(sys, pts, gap_tol):
     return float(gaps[worst])
 
 
+def _hyperbolic_jets(sys, pts, order, gap_tol):
+    """The smallest velocity gap at ``pts`` and the jets of ``v_diag`` there
+    up to ``order``; the gap check reads the jets' values.  Where a
+    derivative leaves its domain, the values alone are checked first, so a
+    collision is reported before it, as `tensor._geometry` reports a
+    singular metric first."""
+    try:
+        jets = jet_table(sys.v_diag, sys.coords, sys.params, pts, order)
+    except DomainError:
+        _check_hyperbolicity(speeds_at(sys, pts), pts, gap_tol)
+        raise
+    return _check_hyperbolicity(jets[0], pts, gap_tol), jets
+
+
 def _coupling(v, dv, nu, mu):
     """a[nu, mu] = d_mu v^nu / (v^mu - v^nu), shape (P, len(nu)), at the
     pairs ``zip(nu, mu)`` from the velocity jets ``v`` (P, N) and ``dv``
-    (P, mu, nu); inf and nan come without numpy warnings."""
+    (P, mu, nu), one pair at a time into one output whose columns are
+    contiguous; inf and nan come without numpy warnings."""
+    out = np.empty((len(nu), len(v))).T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return dv[:, mu, nu] / (v[:, mu] - v[:, nu])
+        for k, (n, m) in enumerate(zip(nu, mu)):
+            np.divide(dv[:, m, n], v[:, m] - v[:, n], out=out[:, k])
+    return out
 
 
 @dataclass
@@ -124,8 +148,7 @@ def semi_hamiltonian_check(sys: SystemDef, *, tol_zero: float = TOL_ZERO,
     """
     _require_diagonal(sys)
     pts = sample_box(sys.box, SAMPLES)
-    gap = _check_hyperbolicity(sys, pts, gap_tol)
-    v, dv, ddv = jet_table(sys.v_diag, sys.coords, sys.params, pts, 2)
+    gap, (v, dv, ddv) = _hyperbolic_jets(sys, pts, 2, gap_tol)
     nu, mu, lam = np.array([t for t in itertools.permutations(range(sys.N), 3)
                             if t[1] < t[2]], dtype=int).reshape(-1, 3).T
 
@@ -173,7 +196,7 @@ class CommutingFlow:
             self.kind = "sampled"
             if len(self.coords) != 2:
                 raise ValueError("sampled flows are two-component")
-            self._hermite = _HermiteGrid(axes, values)
+            self._hermite = HermiteGrid(axes, values)
 
     @property
     def box(self) -> Box:
@@ -203,82 +226,6 @@ class CommutingFlow:
         return self._hermite(point, (1, 0), (0, 1))
 
 
-def _d4(f, h, axis):
-    """First derivative of node values along ``axis``, step ``h``: 4th-order
-    central differences, 4th-order one-sided ones on the two edge rows
-    (2nd-order `np.gradient` on axes of fewer than 5 nodes)."""
-    f = np.moveaxis(f, axis, 0)
-    if len(f) < 5:
-        d = np.gradient(f, h, axis=0, edge_order=min(2, len(f) - 1))
-    else:
-        d = np.empty_like(f)
-        d[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-        edge = np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]]) / (12 * h)
-        d[:2] = np.tensordot(edge, f[:5], axes=1)
-        d[-2:] = -np.tensordot(edge[::-1, ::-1], f[-5:], axes=1)
-    return np.moveaxis(d, 0, axis)
-
-
-# cubic Hermite basis on [0, 1] as power-series coefficients [degree, order,
-# weight]: order 0 is the basis, order 1 its derivative; the weights multiply
-# the value and the slope at the cell's left node, then at its right node
-_HERMITE = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],
-                     [[0, 1, 0, 0], [-6, -4, 6, -2]],
-                     [[-3, -2, 3, -1], [6, 3, -6, 3]],
-                     [[2, 1, -2, 1], [0, 0, 0, 0]]], dtype=float)
-
-
-class _HermiteGrid:
-    """Bicubic Hermite interpolant of the two flow components ``values[k]``
-    on a uniform grid ``axes``: node slopes and cross derivatives by `_d4`; queries are
-    clamped to the grid box."""
-
-    def __init__(self, axes, values):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.steps = tuple(a[1] - a[0] if len(a) > 1 else 0.0 for a in self.axes)
-        for a, h in zip(self.axes, self.steps):
-            if not (h > 0 and np.allclose(np.diff(a), h, rtol=1e-9, atol=0.0)):
-                raise ValueError("sampled flow axes must be increasing uniform "
-                                 "grids of at least 2 nodes")
-        f = np.asarray(values, dtype=float)
-        (x, y), (hx, hy) = self.axes, self.steps
-        if f.shape != (2, len(x), len(y)):
-            raise ValueError("sampled flow values must have shape "
-                             f"(2, {len(x)}, {len(y)})")
-        # [k, i, j, s, r] = d_x^s d_y^r w^k at node (i, j), scaled to a unit
-        # cell; filled in place, as the grid is large
-        self.nodes = np.empty(f.shape + (2, 2))
-        self.nodes[..., 0, 0] = f
-        self.nodes[..., 0, 1] = hy * _d4(f, hy, 2)
-        fx = _d4(f, hx, 1)
-        self.nodes[..., 1, 0] = hx * fx
-        self.nodes[..., 1, 1] = hx * hy * _d4(fx, hy, 2)
-
-    def __call__(self, point, *orders):
-        """Derivatives of the given ``(x order, y order)`` at one point or a
-        batch, stacked on the last axis: shape ``(N, len(orders))`` or
-        ``(P, N, len(orders))``."""
-        q = np.atleast_2d(np.asarray(point, dtype=float))
-        cells, bases = [], []
-        for r, a, h in zip(q.T, self.axes, self.steps):
-            r = np.clip(r, a[0], a[-1])
-            i = np.clip(np.searchsorted(a, r, side="right") - 1, 0, len(a) - 2)
-            t = ((r - a[i]) / h)[:, None, None]
-            cells.append(i[:, None] + (0, 1))
-            bases.append(((_HERMITE[3] * t + _HERMITE[2]) * t + _HERMITE[1]) * t
-                         + _HERMITE[0])
-        # [p, k, (a, s, b, r)]: node a/b of the cell in x/y, derivative s/r
-        c = self.nodes[:, cells[0][:, :, None], cells[1][:, None, :]]
-        c = c.transpose(1, 0, 2, 4, 3, 5).reshape(len(q), -1, 16)
-        # a batch is summed point by point, in the order of a single point
-        res = np.stack([
-            (c * (bases[0][:, ox, :, None] * bases[1][:, oy, None, :])
-             .reshape(len(q), 1, 16)).sum(axis=-1)
-            / (self.steps[0] ** ox * self.steps[1] ** oy)
-            for ox, oy in orders], axis=-1)
-        return res[0] if np.ndim(point) == 1 else res
-
-
 def closed_form_flow(sys: SystemDef, exprs, *,
                      gap_tol: float = GAP_TOL) -> CommutingFlow:
     """Wrap closed-form w components and measure their defining residual,
@@ -289,11 +236,11 @@ def closed_form_flow(sys: SystemDef, exprs, *,
     if len(parsed) != sys.N:
         raise ValueError(f"need {sys.N} flow components, got {len(parsed)}")
     pts = sample_box(sys.box, SAMPLES)
-    _check_hyperbolicity(sys, pts, gap_tol)
+    _, jets = _hyperbolic_jets(sys, pts, 1, gap_tol)
     flow = CommutingFlow(sys.coords, exprs=parsed, params=sys.params,
                          provenance="user-supplied")
     nu, mu = np.nonzero(~np.eye(sys.N, dtype=bool))
-    a = _coupling(*jet_table(sys.v_diag, sys.coords, sys.params, pts, 1), nu, mu)
+    a = _coupling(*jets, nu, mu)
     w, dw = flow.w_at(pts), flow.dw_at(pts)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = dw[:, nu, mu] - a * (w[:, mu] - w[:, nu])
@@ -360,12 +307,14 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
     if abs(r1[i0] - basepoint[0]) > 1e-12 or abs(r2[j0] - basepoint[1]) > 1e-12:
         raise ValueError(f"basepoint {tuple(basepoint)} is not a gridpoint")
 
-    grid = np.stack(np.meshgrid(r1, r2, indexing="ij"), axis=-1)
-    flat = grid.reshape(-1, 2)
-    _check_hyperbolicity(sys, flat, gap_tol)
     n1, n2 = len(r1), len(r2)
-    a12, a21 = _coupling(*jet_table(sys.v_diag, sys.coords, sys.params, flat, 1),
-                         [0, 1], [1, 0]).T.reshape(2, n1, n2)
+    # the grid points in raster order, one contiguous column per coordinate
+    flat = np.empty((n1 * n2, 2), order="F")
+    flat[:, 0] = np.repeat(r1, n2)
+    flat[:, 1] = np.tile(r2, n1)
+    _, jets = _hyperbolic_jets(sys, flat, 1, gap_tol)
+    a12, a21 = _coupling(*jets, [0, 1], [1, 0]).T.reshape(2, n1, n2)
+    del jets
 
     symbols = set(sys.coords) | set(sys.params)
     w1e, w2e = (np.array(as_expr(e, symbols, "boundary"), dtype=object)
@@ -373,8 +322,11 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
     w = np.empty((2, n1, n2))
     w.fill(np.nan)
     # boundary data on the axis lines R^2 = r2[j0] and R^1 = r1[i0]
-    w[0, :, j0] = evaluate_table(w1e, sys.coords, sys.params, grid[:, j0])
-    w[1, i0, :] = evaluate_table(w2e, sys.coords, sys.params, grid[i0, :])
+    w[0, :, j0] = evaluate_table(w1e, sys.coords, sys.params, flat[j0::n2])
+    w[1, i0, :] = evaluate_table(w2e, sys.coords, sys.params,
+                                 flat[i0 * n2:(i0 + 1) * n2])
+    # the march needs the couplings alone
+    del flat
 
     # complete the boundary cross: the partner component on each axis line
     for direction in (1, -1):
@@ -385,18 +337,21 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
                   np.arange(j0 + sy, n2 if sy > 0 else -1, sy))
                  for sx in (1, -1) for sy in (1, -1)]
     # the cell solve is singular where 1 + beta + gamma vanishes, which
-    # depends on a12/a21 alone: check first, in column order per quadrant
+    # depends on a12/a21 alone: check first, in column order per quadrant,
+    # in blocks of columns
     for sx, sy, ii, jj in quadrants:
         h1 = (r1[ii] - r1[ii - sx])[None, :]
-        h2 = (r2[jj] - r2[jj - sy])[:, None]
-        cells = np.ix_(jj, ii)
-        # [j, i], so the first bad cell in C order is the first in column order
-        det = 1.0 + 0.5 * h2 * a12.T[cells] + 0.5 * h1 * a21.T[cells]
-        bad = np.argwhere(np.abs(det) < 1e-12)
-        if bad.size:
-            j, i = bad[0]
-            raise NonConvergenceError(
-                f"singular cell solve at grid index ({ii[i]}, {jj[j]})")
+        for lo, hi in row_blocks(0, jj.size, ii.size):
+            js = jj[lo:hi]
+            h2 = (r2[js] - r2[js - sy])[:, None]
+            cells = np.ix_(js, ii)
+            # [j, i], so the first bad cell in C order is the first in column order
+            det = 1.0 + 0.5 * h2 * a12.T[cells] + 0.5 * h1 * a21.T[cells]
+            bad = np.argwhere(np.abs(det) < 1e-12)
+            if bad.size:
+                j, i = bad[0]
+                raise NonConvergenceError(
+                    f"singular cell solve at grid index ({ii[i]}, {js[j]})")
     # a cell needs its predecessors in i and in j, so the cells at one
     # step distance a + b from the boundary cross are independent
     for sx, sy, ii, jj in quadrants:
@@ -418,14 +373,20 @@ def integrate_commuting_flow(sys: SystemDef, w1, w2, *, resolution: int = 256,
             w[0, i, j] = ((1.0 + gamma) * rhs0 + beta * rhs1) / det
             w[1, i, j] = (gamma * rhs0 + (1.0 + beta) * rhs1) / det
 
-    # defining-relation residual by interior central differences; each
-    # component is reduced before the next is formed, so that only one
-    # chain of full-grid temporaries is alive at a time
-    res0 = np.max(np.abs((w[0, :, 2:] - w[0, :, :-2]) / (r2[2:] - r2[:-2])[None, :]
-                         - a12[:, 1:-1] * (w[1, :, 1:-1] - w[0, :, 1:-1])))
-    res1 = np.max(np.abs((w[1, 2:, :] - w[1, :-2, :]) / (r1[2:] - r1[:-2])[:, None]
-                         - a21[1:-1, :] * (w[0, 1:-1, :] - w[1, 1:-1, :])))
+    # defining-relation residual by interior central differences, each
+    # component over blocks of grid rows; a NaN propagates as over the grid
+    d1, d2 = (r1[2:] - r1[:-2])[:, None], (r2[2:] - r2[:-2])[None, :]
+    res0 = np.max([np.max(np.abs(
+        (w[0, lo:hi, 2:] - w[0, lo:hi, :-2]) / d2
+        - a12[lo:hi, 1:-1] * (w[1, lo:hi, 1:-1] - w[0, lo:hi, 1:-1])))
+        for lo, hi in row_blocks(0, n1, n2)])
+    res1 = np.max([np.max(np.abs(
+        (w[1, lo + 1:hi + 1] - w[1, lo - 1:hi - 1]) / d1[lo - 1:hi - 1]
+        - a21[lo:hi] * (w[0, lo:hi] - w[1, lo:hi])))
+        for lo, hi in row_blocks(1, n1 - 1, n2)])
     residual = float(max(res0, res1))
+    # the interpolation table is built without the couplings alive
+    del a12, a21
     return CommutingFlow(sys.coords, axes=(r1, r2), values=w,
                          params=sys.params, residual=residual,
                          tol=tol_goursat, provenance="integrated")

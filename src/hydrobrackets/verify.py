@@ -42,6 +42,11 @@ RK4_STEPS_PER_EXTENT = 256
 # points per connection evaluation of the flat-coordinate transport; bounds
 # the (points, N, N, N) connection temporaries
 TRANSPORT_BATCH_POINTS = 2048
+# points per block of the flat chart's pushed-metric check; bounds its
+# (points, N, N) temporaries
+FLAT_CHECK_BLOCK_POINTS = 4096
+# rows per block of a CSV table; bounds the text formatted at once
+CSV_BLOCK_ROWS = 4096
 
 VERDICT_DN = "DN_FLAT"
 VERDICT_MF = "MF_CONST_CURV"
@@ -60,18 +65,24 @@ def write_csv(path, header, columns):
     """CSV of every table ``--out`` file: one column per array, full
     precision, the bytes of ``np.savetxt(fmt="%.17e", delimiter=",")``.
 
-    Each distinct value of a column is formatted once; values are told
-    apart by bit pattern, so ``-0.0`` and every NaN payload keep their own
-    text."""
-    texts = []
-    for col in np.column_stack(columns).astype(float, copy=False).T:
-        bits, where = np.unique(col.view(np.int64), return_inverse=True)
-        text = np.array(["%.17e" % v for v in bits.view(np.float64)], dtype=object)
-        texts.append(text[where])
+    The rows are formatted and written in blocks of ``CSV_BLOCK_ROWS``, so
+    the text held at once spans one block, not the file.  In a block, each
+    distinct value of a column is formatted once; values are told apart by
+    bit pattern, so ``-0.0`` and every NaN payload keep their own text."""
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
-        fh.write("".join(",".join(row) + "\n" for row in zip(*texts)))
+        for lo in range(0, rows, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns])
+            texts = []
+            for col in block.astype(float, copy=False).T:
+                bits, where = np.unique(col.view(np.int64), return_inverse=True)
+                text = np.array(["%.17e" % v for v in bits.view(np.float64).tolist()],
+                                dtype=object)
+                texts.append(text[where])
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def point_list(point):
@@ -658,7 +669,10 @@ def develop_flat_coords(sys: SystemDef, *, resolution: int = 64, basepoint=None,
 
     Integration is run in two different axis orders; if the two disagree
     beyond ``10 * tol_flat`` the metric is not flat on the box and
-    `NotFlatError` is raised.
+    `NotFlatError` is raised.  The pushed metric is checked over blocks of
+    ``FLAT_CHECK_BLOCK_POINTS`` grid points, so its temporaries span one
+    block; each point's value does not depend on the block, so the
+    residual is the one over the whole grid at once.
 
     Returns
     -------
@@ -691,11 +705,18 @@ def develop_flat_coords(sys: SystemDef, *, resolution: int = 64, basepoint=None,
             f"{path_agreement:.3e} (allowed {10.0 * tol_flat:.1e})",
             residual=path_agreement)
 
-    grid_pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, nn)
-    upper = tz.metric_upper_at(sys, grid_pts).reshape(n_fwd.shape[:-1] + (nn, nn))
-    pushed = np.einsum("...an,...nm,...bm->...ab", p_fwd, upper, p_fwd)
+    # the pushed metric, in blocks of grid points in raster order
     target = np.diag(np.asarray(signature, dtype=float))
-    pushed_residual = float(np.max(np.abs(pushed - target)))
+    frames = p_fwd.reshape(-1, nn, nn)
+    worst = []
+    for lo in range(0, len(frames), FLAT_CHECK_BLOCK_POINTS):
+        hi = min(lo + FLAT_CHECK_BLOCK_POINTS, len(frames))
+        nodes = np.unravel_index(np.arange(lo, hi), n_fwd.shape[:-1])
+        pts = np.column_stack([a[i] for a, i in zip(axes, nodes)])
+        p = frames[lo:hi]
+        pushed = np.einsum("pan,pnm,pbm->pab", p, tz.metric_upper_at(sys, pts), p)
+        worst.append(np.max(np.abs(pushed - target)))
+    pushed_residual = float(np.max(worst))
 
     return FlatChart(basepoint, frame, signature, axes, n_fwd, p_fwd,
                      pushed_residual, path_agreement, tol_flat)

@@ -265,6 +265,9 @@ def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
      "4bfbabe60a4172db0925760288f2beac51ca7919be33ca7a7d8f78df484beebd"),
     (["hodograph", "hopf"],
      "bd477c009a58a2558df37a3e4db6cf1f56e113b743692489af43e56e2f465bd2"),
+    # 16,641 rows: more than one block of the CSV writer
+    (["flat-coords", "polar_plane", "--grid", "128"],
+     "808ee8d61ab82d7960c74e3813062b08c1bd3060ae21d81ce56e6fb45b0b63d5"),
 ])
 def test_out_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "table.csv"

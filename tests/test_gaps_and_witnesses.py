@@ -19,8 +19,10 @@ from hydrobrackets import cli, verify
 from hydrobrackets import hodograph as hg
 from hydrobrackets import tensor as tz
 from hydrobrackets.errors import (
-    DegenerateHyperbolicityWarning, HyperbolicityViolationError, SingularMetricError,
+    DegenerateHyperbolicityWarning, DomainError, HyperbolicityViolationError,
+    SingularMetricError,
 )
+from hydrobrackets.expr import jet_table
 from hydrobrackets.system import Box, SystemDef, sample_box
 
 BUILTIN = pathlib.Path(cli.__file__).resolve().parent / "builtin"
@@ -159,6 +161,26 @@ def test_hyperbolicity_gap_propagates_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(HyperbolicityViolationError, match="gap nan"):
             hg.semi_hamiltonian_check(sys)
+
+
+def test_velocity_collision_is_reported_before_a_derivative_domain_error():
+    # v1 = R1 + sqrt(0) equals v2 at every point, while the derivative of the
+    # sqrt divides by its zero value: the gap check reads the jets' values,
+    # and where the jets raise, the values alone are checked first
+    sys = SystemDef(["R1", "R2"], v_diag=["R1 + sqrt(R1*R2 - R2*R1)", "R1"],
+                    box=Box((0.5, 0.5), (1.5, 1.5)))
+    samples = sample_box(sys.box, verify.SAMPLES)
+    with pytest.raises(DomainError, match="derivative: division by zero"):
+        jet_table(sys.v_diag, sys.coords, sys.params, samples, 1)
+    first_sample = tz.point_at(samples, 0)
+    for call, witness in [
+            (lambda: hg.semi_hamiltonian_check(sys), first_sample),
+            (lambda: hg.closed_form_flow(sys, ["R1", "R2"]), first_sample),
+            (lambda: hg.integrate_commuting_flow(sys, "R1", "R2", resolution=8),
+             sys.box.lo)]:
+        with pytest.raises(HyperbolicityViolationError, match="gap 0.000e") as err:
+            call()
+        assert err.value.point == witness
 
 
 # --- spacetime window ------------------------------------------------------------

@@ -6,10 +6,13 @@ characteristic-polynomial oracle that never touches the generalized
 eigenvalue solver.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import canonical_system, polar_pair_system, so3_system, sphere_system
+from hydrobrackets import tensor as tz
 from hydrobrackets import verify
 from hydrobrackets.errors import (
     MissingAffinorsError, MissingGammaError, NotFlatError, SingularMetricError,
@@ -418,6 +421,32 @@ def test_flat_chart_needs_one_cell_per_axis(resolution):
         verify.develop_flat_coords(polar_pair_system(), resolution=resolution)
 
 
+def test_flat_chart_check_peak_memory_stays_within_a_block(monkeypatch):
+    """The pushed metric is checked over blocks of grid points, so past the
+    march the check holds a few (block, N, N) arrays: at resolution 256
+    about three, where the whole grid at once held 64."""
+    sys = polar_pair_system()
+    verify.develop_flat_coords(sys, resolution=8)       # compile the tables
+    upper_at, start = tz.metric_upper_at, []
+
+    def upper_at_marked(system, pts):
+        # the frame takes one point; the check's first block starts here
+        if len(pts) > 1 and not start:
+            start.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return upper_at(system, pts)
+
+    monkeypatch.setattr(tz, "metric_upper_at", upper_at_marked)
+    tracemalloc.start()
+    try:
+        verify.develop_flat_coords(sys, resolution=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = verify.FLAT_CHECK_BLOCK_POINTS * sys.N * sys.N * 8
+    assert peak - start[0] < 6 * block
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_classify_needs_one_sample(samples):
     with pytest.raises(ValueError, match=f"samples must be at least 1, got "
@@ -470,21 +499,43 @@ def test_report_text_shows_constant_and_failures():
 
 
 def test_write_csv_bytes_match_savetxt(tmp_path):
-    # distinct values are formatted once, told apart by bit pattern: signed
-    # zeros, NaN payloads and subnormals keep the text savetxt gives them
+    # distinct values are formatted once per block, told apart by bit
+    # pattern: signed zeros, NaN payloads and subnormals keep the text
+    # savetxt gives them; the row counts sit around one block, whose
+    # boundary the cycled, resampled and constant columns repeat values across
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001,
                      0xFFF8000000000000, 0x7FF0000000000001],
                     dtype=np.uint64).view(np.float64)
     special = np.concatenate([nans, [0.0, -0.0, np.inf, -np.inf, 5e-324,
                                      -5e-324, 2.2250738585072014e-308 / 3,
                                      1.0, 1.0, -0.0, 1 / 3, 1 / 3]])
-    rng = np.random.default_rng(3)
-    repeated = rng.choice(special, size=special.size)
-    cols = [special, repeated, rng.normal(size=special.size),
-            (rng.random(special.size) < 0.5).astype(float)]
-    for header in ("a,b,c,d", ""):
-        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-        verify.write_csv(ours, header, cols)
-        np.savetxt(ref, np.column_stack(cols), delimiter=",", header=header,
-                   comments="", fmt="%.17e")
-        assert ours.read_bytes() == ref.read_bytes()
+    block = verify.CSV_BLOCK_ROWS
+    for rows in (special.size, 0, 1, block - 1, block, block + 1, 2 * block + 5):
+        rng = np.random.default_rng(3)
+        repeated = rng.choice(special, size=rows)
+        cols = [np.resize(special, rows), repeated, rng.normal(size=rows),
+                (rng.random(rows) < 0.5).astype(float), np.full(rows, -0.0)]
+        for header in ("a,b,c,d,e", ""):
+            ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+            verify.write_csv(ours, header, cols)
+            np.savetxt(ref, np.column_stack(cols), delimiter=",", header=header,
+                       comments="", fmt="%.17e")
+            assert ours.read_bytes() == ref.read_bytes(), (rows, header)
+
+
+def test_write_csv_peak_memory_follows_the_block_not_the_file(tmp_path):
+    """Only one block of rows is formatted at a time, so 200,000 rows peak
+    as one block does (2.8 MB for five columns), where formatting the whole
+    table at once reached 136 MB."""
+    def peak(rows):
+        rng = np.random.default_rng(0)
+        cols = [rng.normal(size=rows) for _ in range(4)]
+        cols.append(np.repeat(np.arange(rows // 100 + 1.0), 100)[:rows])
+        tracemalloc.start()
+        try:
+            verify.write_csv(tmp_path / "table.csv", "a,b,c,d,e", cols)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200_000) < 1.1 * peak(verify.CSV_BLOCK_ROWS)
