@@ -10,15 +10,14 @@ provides the two operational bracket axioms as numbers: an antisymmetry
 residual comes out of `bracket` directly, and `jacobi_residual` measures
 Olver's tri-vector of the operator together with the triple's antisymmetry.
 
-Cost model: a bracket evaluates each expression table entry once over the
-M gridpoints.  A Jacobi residual takes the first-order jets of each
-functional's density (`expr.jet_table`) once at the field, and makes two
-calls into the operator core shared by `bracket`, `apply_bracket_operator`
-and `hamiltonian_flow`, each with the three functionals stacked on its
-leading batch axis: the three flows, and the operator derivatives along
-them (first-derivative tables of the coefficients).  That is O(M) points
-per functional, with no step size and no second derivatives of the
-densities.
+Cost model: the operator core takes one field (N, M), covectors stacked as
+(B, N, M) and the g, b and h tables evaluated at the M gridpoints, one jet
+pass per table (`tensor.table_jets_at`): the values for a bracket or a
+flow.  A Jacobi residual takes the first-order jets of each functional's
+density (`expr.jet_table`) and of each table once at the field, and calls
+the core twice with the three gradients stacked: for the flows, and for
+the operator derivatives along them.  That is O(M) points per functional
+and per table, with no step size and no second derivatives of the densities.
 """
 
 from __future__ import annotations
@@ -102,13 +101,21 @@ class Functional:
         self.density = as_expr(density, self.coords, "density")
         self._density_table = np.array(self.density, dtype=object)
 
+    def _values(self, U):
+        # the field's (N, M) values, one row per coordinate
+        if len(U.values) != len(self.coords):
+            raise ShapeMismatchError(
+                f"functional has {len(self.coords)} coordinates, field has "
+                f"{len(U.values)} components")
+        return U.values
+
     def value(self, U: GridField) -> float:
-        dens = evaluate_table(self._density_table, self.coords, {}, U.values.T)
+        dens = evaluate_table(self._density_table, self.coords, {}, self._values(U).T)
         return float(np.sum(dens) * U.dx)
 
     def variational(self, U: GridField):
         """delta F / delta U as an (N, M) array."""
-        return self._variational(U.values)
+        return self._variational(self._values(U))
 
     def _variational(self, values):
         """delta F / delta U of fields stacked as (..., N, M), same shape."""
@@ -131,15 +138,53 @@ def random_polynomial_functional(coords, *, degree=3, seed=0) -> Functional:
     return Functional(" + ".join(terms), coords)
 
 
-def _check_shapes(sys, values, xi):
-    # both stacked as (B, ...); report the per-field shapes
-    if sys.N != values.shape[1]:
+def _coefficients(sys, values, order, xi=None, funcs=()):
+    """The jets ``[values, d1, ...]`` to ``order`` of the g, b and h tables at
+    the M points of the field ``values`` (N, M), one pass each, ``None`` for
+    a table the bracket does not read; after the checks of the field, the
+    covectors ``xi`` (B, N, M) and the functionals, shapes first."""
+    if sys.N != len(values):
         raise ShapeMismatchError(
-            f"system has {sys.N} components, field has {values.shape[1]}")
-    if xi.shape != values.shape:
+            f"system has {sys.N} components, field has {len(values)}")
+    for f in funcs:
+        if f.coords != sys.coords:
+            raise ShapeMismatchError(
+                f"functional coordinates {f.coords} are not the system "
+                f"coordinates {sys.coords}")
+    if xi is not None and xi.shape[1:] != values.shape:
         raise ShapeMismatchError(
             f"covector shape {xi.shape[1:]} does not match field shape "
-            f"{values.shape[1:]}")
+            f"{values.shape}")
+    if sys.g_upper is None and sys.h_ultra is None:
+        raise ValueError("system declares no bracket (needs g_upper or h_ultra)")
+    b = sys.b if sys.g_upper is not None else None
+    return [None if t is None else tz.table_jets_at(sys, t, values.T, order)
+            for t in (sys.g_upper, b, sys.h_ultra)]
+
+
+def _operator(coefs, values, xi, along=None):
+    """A(xi) of covectors stacked as (B, N, M) at one field (N, M), from
+    its `_coefficients`.
+
+    With directions ``along`` stacked as ``xi``, dA[along] xi instead, the
+    derivative along U + eps*along: each table is replaced by its derivative
+    along ``along``, and the b term gains b^{nm}_l (along^l)_x xi_m.
+    """
+    def coef(jets):
+        # a derivative along carries the covector axis, which ``...`` takes
+        return jets[0] if along is None else np.einsum("brx,xr...->bx...", along, jets[1])
+
+    g, b, h = coefs
+    out = np.zeros(xi.shape)
+    if g is not None:
+        out += np.einsum("...xnm,...mx->...nx", coef(g), spectral_dx(xi))
+        if b is not None:
+            out += np.einsum("...xnml,lx,...mx->...nx", coef(b), spectral_dx(values), xi)
+            if along is not None:
+                out += np.einsum("xnml,...lx,...mx->...nx", b[0], spectral_dx(along), xi)
+    if h is not None:
+        out += np.einsum("...xnm,...mx->...nx", coef(h), xi)
+    return out
 
 
 def apply_bracket_operator(sys: SystemDef, U: GridField, xi) -> GridField:
@@ -150,61 +195,16 @@ def apply_bracket_operator(sys: SystemDef, U: GridField, xi) -> GridField:
     each term present when the system declares its coefficients.  A system
     that declares neither ``g_upper`` nor ``h_ultra`` is a ``ValueError``.
     """
-    return GridField(_operator(sys, U.values[None],
-                               np.asarray(xi, dtype=float)[None])[0])
-
-
-def _operator(sys, values, xi, along=None):
-    """`apply_bracket_operator` on fields and covectors stacked as (B, N, M).
-
-    With directions ``along`` stacked the same way, the derivative
-    dA[along] xi of the operator along U + eps*along instead: each
-    coefficient table is replaced by its derivative along ``along``, and the
-    b term gains b^{nm}_l (along^l)_x xi_m.
-    """
-    _check_shapes(sys, values, xi)
-    if sys.g_upper is None and sys.h_ultra is None:
-        raise ValueError("system declares no bracket (needs g_upper or h_ultra)")
-
-    batch, n, m = values.shape
-    # (B*M, N) points; each column is a contiguous row of the (N, B*M) copy
-    pts = np.moveaxis(values, 1, 0).reshape(n, batch * m).T
-    if along is not None:
-        dirs = np.moveaxis(along, 1, 0).reshape(n, batch * m).T
-
-    def coef(table, value_at):
-        if along is None:
-            vals = value_at(sys, pts)
-        else:
-            d1 = tz.table_d1_at(sys, table, pts).reshape(batch * m, n, -1)
-            vals = np.einsum("pr,prk->pk", dirs, d1)
-        return vals.reshape((batch, m) + table.shape)
-
-    out = np.zeros(values.shape)
-    if sys.g_upper is not None:
-        g = coef(sys.g_upper, tz.metric_upper_at)
-        out += np.einsum("bxnm,bmx->bnx", g, spectral_dx(xi))
-        if sys.b is not None:
-            out += np.einsum("bxnml,blx,bmx->bnx", coef(sys.b, tz.b_at),
-                             spectral_dx(values), xi)
-            if along is not None:
-                b = tz.b_at(sys, pts).reshape(batch, m, n, n, n)
-                out += np.einsum("bxnml,blx,bmx->bnx", b, spectral_dx(along), xi)
-    if sys.h_ultra is not None:
-        out += np.einsum("bxnm,bmx->bnx", coef(sys.h_ultra, tz.h_ultra_at), xi)
-    return out
-
-
-def _bracket(sys, F, G, values, dx):
-    """`bracket` of fields stacked as (B, N, M), shape (B,)."""
-    a = _operator(sys, values, G._variational(values))
-    _require_finite(a)
-    return np.sum((F._variational(values) * a).reshape(len(values), -1), axis=1) * dx
+    xi = np.asarray(xi, dtype=float)[None]
+    return GridField(_operator(_coefficients(sys, U.values, 0, xi), U.values, xi)[0])
 
 
 def bracket(sys: SystemDef, F: Functional, G: Functional, U: GridField) -> float:
     """{F, G}[U] = sum_i deltaF(x_i) . A(deltaG)(x_i) dx."""
-    return float(_bracket(sys, F, G, U.values[None], U.dx)[0])
+    coefs = _coefficients(sys, U.values, 0, funcs=(F, G))
+    a = _operator(coefs, U.values, G._variational(U.values)[None])[0]
+    _require_finite(a)
+    return float(np.sum(F._variational(U.values) * a) * U.dx)
 
 
 def antisymmetry_residual(sys, F, G, U) -> float:
@@ -213,7 +213,8 @@ def antisymmetry_residual(sys, F, G, U) -> float:
 
 def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField) -> GridField:
     """U_t = A(deltaH), the quasilinear flow generated by H."""
-    return apply_bracket_operator(sys, U, H.variational(U))
+    coefs = _coefficients(sys, U.values, 0, funcs=(H,))
+    return GridField(_operator(coefs, U.values, H._variational(U.values)[None])[0])
 
 
 def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
@@ -228,15 +229,16 @@ def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
     cyclic sum of {{F_k, F_{k+1}}, F_{k+2}} without the density Hessian
     terms, which cancel in that sum when A is skew; so skewness is read too,
     as S = max over j, k of |{F_j, F_k} + {F_k, F_j}| from the same flows.
-    The three functionals are stacked on the batch axis of the operator
-    core, which a residual calls twice: for the flows and for dA along them.
+    The three gradients are stacked on the covector axis of the operator
+    core, which a residual calls twice, for the flows and for dA along
+    them, with one first-order jet pass per coefficient table at the field.
     """
+    coefs = _coefficients(sys, U.values, 1, funcs=(F, G, H))
     grads = np.stack([f._variational(U.values) for f in (F, G, H)])
-    values = np.broadcast_to(U.values, grads.shape)
-    flows = _operator(sys, values, grads)
+    flows = _operator(coefs, U.values, grads)
     _require_finite(flows)
     # term k reads F_k, F_{k+1} and the flow of F_{k+2}
-    inner = _operator(sys, values, grads[[1, 2, 0]], along=flows[[2, 0, 1]])
+    inner = _operator(coefs, U.values, grads[[1, 2, 0]], along=flows[[2, 0, 1]])
     _require_finite(inner)
     trivector = abs(np.sum(grads * inner))
     pairs = np.einsum("jnx,knx->jk", grads, flows)  # {F_j, F_k} / dx

@@ -10,13 +10,13 @@ the row before, with a march in x as the fallback (`hodograph_solve`), and
 an independent finite-difference residual audit (`verify_solution`).
 
 Derivatives are numbers from the jets of `expr.jet_table`: the coupling
-a[nu, mu] = d_mu v^nu / (v^mu - v^nu) (`_coupling`) and its derivatives, and
-closed-form flow Jacobians.  Grid-sampled flows interpolate with bicubic
-Hermite patches (`hermite.HermiteGrid`), whose interpolation error is the
-dominant error term of the two-component pipeline.  The integration keeps
-the flow and little more: the grid and the velocity jets are released
-before the march and the couplings before the interpolation table is
-built, and its whole-grid passes run in `hermite.row_blocks`.
+a[nu, mu] = d_mu v^nu / (v^mu - v^nu) (`_coupling`) and its derivatives, via
+`tensor.table_jets_at`, and closed-form flow Jacobians.  Grid-sampled flows
+interpolate with bicubic Hermite patches (`hermite.HermiteGrid`), whose
+interpolation error is the dominant error term of the two-component pipeline.
+The integration keeps the flow and little more: the grid and the velocity
+jets are released before the march and the couplings before the interpolation
+table is built, and its whole-grid passes run in `hermite.row_blocks`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def speeds_at(sys: SystemDef, pts):
 def speeds_d1_at(sys: SystemDef, pts):
     """d v^nu / d R^mu, shape (P, mu, nu)."""
     _require_diagonal(sys)
-    return tz.table_d1_at(sys, sys.v_diag, pts)
+    return tz.table_jets_at(sys, sys.v_diag, pts, 1)[1]
 
 
 def _check_hyperbolicity(v, pts, gap_tol):
@@ -70,9 +70,10 @@ def _check_hyperbolicity(v, pts, gap_tol):
     # argmin returns the first NaN when there is one
     worst = int(np.argmin(gaps))
     if not gaps[worst] > gap_tol:
+        where = tz.point_at(pts, worst)
         raise HyperbolicityViolationError(
             f"characteristic velocities collide (gap {gaps[worst]:.3e} "
-            f"<= {gap_tol:.1e})", point=tz.point_at(pts, worst))
+            f"<= {gap_tol:.1e}) at {where}", point=where)
     return float(gaps[worst])
 
 
@@ -83,7 +84,7 @@ def _hyperbolic_jets(sys, pts, order, gap_tol):
     collision is reported before it, as `tensor._geometry` reports a
     singular metric first."""
     try:
-        jets = jet_table(sys.v_diag, sys.coords, sys.params, pts, order)
+        jets = tz.table_jets_at(sys, sys.v_diag, pts, order)
     except DomainError:
         _check_hyperbolicity(speeds_at(sys, pts), pts, gap_tol)
         raise

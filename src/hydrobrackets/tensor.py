@@ -9,14 +9,14 @@ finite differences are used, and no derivative expression is built.
 
 The tensor functions (suffix ``_at``) take a batch of points with shape
 ``(P, N)`` and return arrays with a leading ``P`` axis; a single point of
-shape ``(N,)`` is a batch of one.  `table_at` and `table_d1_at` evaluate
-any object array of expressions, or its exact first derivatives, over a
-point batch; other modules use them for their own tables.  Each table a
-system owns (a declared field) is compiled once per system with
-`expr.compile_table`, so a subexpression its entries share, such as the
-conformal factor of a diagonal metric, is evaluated once per batch.
-`table_at` evaluates the compiled form with `expr.evaluate_table`;
-`table_d1_at` and the geometry pass run its jets (`expr.jet_table`, the
+shape ``(N,)`` is a batch of one.  `table_at` evaluates an object array of
+expressions over a point batch, and `table_jets_at` its values and exact
+derivatives to a given order in one pass; other modules use them for their
+own tables.  Each table a system owns (a declared field) is compiled once
+per system with `expr.compile_table`, so a subexpression its entries share,
+such as the conformal factor of a diagonal metric, is evaluated once per
+batch.  `table_at` evaluates the compiled form with `expr.evaluate_table`;
+`table_jets_at` and the geometry pass run its jets (`expr.jet_table`, the
 package's one derivative engine) in the same executor, which gives the
 values bitwise as `table_at` does and the derivatives that evaluating
 `expr.differentiate` of each entry, their oracle, gives.
@@ -101,7 +101,7 @@ def table_at(sys: SystemDef, exprs, pts):
     Returns shape ``(P,) + exprs.shape``.  The table is compiled once per
     system and expression array (`expr.compile_table`), so each
     subexpression its entries share is evaluated once per batch.  The memo
-    is keyed by identity, as for `table_d1_at`: pass an array the caller
+    is keyed by identity, as for `table_jets_at`: pass an array the caller
     keeps (a system field), and evaluate one-off arrays with
     `expr.evaluate_table`.
     """
@@ -110,18 +110,19 @@ def table_at(sys: SystemDef, exprs, pts):
 
 
 def _jets(sys, exprs, pts, order):
-    """``[values, d1, ...]`` of ``exprs`` up to ``order`` in one jet pass."""
+    # `table_jets_at` on points already checked
     return jet_table(_compiled(sys, exprs), sys.coords, sys.params, pts, order)
 
 
-def table_d1_at(sys: SystemDef, exprs, pts):
-    """Exact coordinate derivatives of ``exprs`` over a point batch.
+def table_jets_at(sys: SystemDef, exprs, pts, order):
+    """``[values, d1, ...]`` of ``exprs`` up to ``order`` over a point batch.
 
-    Returns shape ``(P, N) + exprs.shape`` with the differentiation
-    coordinate on axis 1, from the jets of the compiled table.  The memo is
-    keyed by identity, as for `table_at`.
+    One jet pass over the compiled table: ``d_j`` has shape
+    ``(P,) + (N,) * j + exprs.shape`` with the differentiation coordinates
+    on axes 1 to j, and the values are bitwise those of `table_at`.  The
+    memo is keyed by identity, as for `table_at`.
     """
-    return _jets(sys, exprs, _points(sys, pts), 1)[1]
+    return _jets(sys, exprs, _points(sys, pts), order)
 
 
 # --- pairwise contractions -----------------------------------------------------
@@ -313,12 +314,6 @@ def b_at(sys, pts):
     return table_at(sys, sys.b, pts)
 
 
-def h_ultra_at(sys, pts):
-    if sys.h_ultra is None:
-        raise ValueError("system declares no ultralocal coefficients")
-    return table_at(sys, sys.h_ultra, pts)
-
-
 def levi_civita_at(sys: SystemDef, pts):
     """Connection of the declared metric, from exact derivative identities."""
     return _geometry(sys, pts, levi_civita=True)[1]
@@ -360,7 +355,7 @@ def operator_at(sys: SystemDef, pts):
 
 
 def operator_d1_at(sys: SystemDef, pts):
-    return table_d1_at(sys, _operator(sys), pts)
+    return table_jets_at(sys, _operator(sys), pts, 1)[1]
 
 
 def nijenhuis_at(sys: SystemDef, pts):
@@ -405,7 +400,8 @@ def pairwise_gaps(values):
     """``|values[:, i] - values[:, j]|`` for every pair ``i < j``.
 
     Returns shape ``(P, N (N - 1) / 2)`` with the pairs in row-major
-    `np.triu_indices` order; NaN entries give NaN gaps.
+    `np.triu_indices` order; NaN entries and equal infinities give NaN gaps.
     """
     i, j = np.triu_indices(values.shape[1], 1)
-    return np.abs(values[:, i] - values[:, j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(values[:, i] - values[:, j])

@@ -52,7 +52,6 @@ PUBLIC_OPTIONS = {
     "hodograph.verify_solution": (),
     "tensor.b_at": (),
     "tensor.christoffel_at": (),
-    "tensor.h_ultra_at": (),
     "tensor.hantjes_at": (),
     "tensor.levi_civita_at": (),
     "tensor.metric_lower_at": (),
@@ -64,7 +63,7 @@ PUBLIC_OPTIONS = {
     "tensor.point_at": (),
     "tensor.riemann_raised_at": (),
     "tensor.table_at": (),
-    "tensor.table_d1_at": (),
+    "tensor.table_jets_at": (),
     "system.Box": (),
     "system.SystemDef": ("g_upper", "b", "V", "v_diag", "affinors", "h_ultra",
                          "gamma", "params", "box", "name"),

@@ -252,6 +252,9 @@ def test_jacobi_tol_zero_overrides_tol_jacobi(capsys):
      "67e754bffbee6ae698a466fd5ef5e8f940a98fc9f7e029c3e5d941bbc1819e7b"),
     (["jacobi", "polar_plane", "--seed", "0"],
      "42ebabef5f3d7a7b569c1e03861d4ef902ab28b6abb282a6b704529f0af8fe57"),
+    # three components and an h term: the order of the core's contractions
+    (["jacobi", "so3", "--seed", "0"],
+     "5d6a12356d30f5cdcb61c668a77c4307990a573ff4221a0282b621e6d7998fc9"),
 ])
 def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "report.json"
@@ -404,6 +407,17 @@ def test_check_reports_are_deterministic(tmp_path):
     assert json.loads(a.read_text())["verdict"] == "MF_CONST_CURV"
 
 
+@pytest.mark.parametrize("options", [[], ["--class", "dn"], ["--class", "mf"]])
+def test_check_reports_an_overflowing_metric_without_a_numpy_warning(
+        tmp_path, capsys, options):
+    doc = {"name": "overflow", "coords": ["u"], "g_upper": [["exp(400*u^2)"]],
+           "b": [[["800*u*exp(400*u^2)"]]], "box": {"min": [-2.0], "max": [2.0]}}
+    assert main(["check", write_config(tmp_path, doc)] + options) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: metric value not finite at (-1.5,)\n"
+
+
 def test_check_rejects_unknown_config(capsys):
     assert main(["check", "no_such_example"]) == 1
     assert "no built-in example" in capsys.readouterr().err
@@ -440,6 +454,18 @@ def test_flat_coords_curved_metric_fails(capsys):
 
 
 # --- CLI: hodograph -------------------------------------------------------------
+
+def test_hodograph_collision_names_its_point_without_a_numpy_warning(tmp_path, capsys):
+    # both velocities overflow to inf, so their gap is inf - inf
+    doc = {"name": "overflow", "coords": ["a", "b"],
+           "v_diag": ["exp(400*a^2)", "2*exp(400*a^2) + b"],
+           "box": {"min": [-2.0, 0.0], "max": [2.0, 1.0]}}
+    assert main(["hodograph", write_config(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: characteristic velocities collide (gap nan "
+                            "<= 1.0e-08) at (-1.5, 0.4444444444444444)\n")
+
 
 @pytest.mark.parametrize("name, key, numeric, text", [
     ("hopf", "w", [1.5], ["1.5"]),

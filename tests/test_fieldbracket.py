@@ -18,6 +18,7 @@ from conftest import (
     so3_system, sphere_system,
 )
 from hydrobrackets import fieldbracket as fb
+from hydrobrackets import tensor as tz
 from hydrobrackets.config import DEFAULT_TOLERANCES
 from hydrobrackets.errors import ShapeMismatchError
 from hydrobrackets.system import Box, SystemDef
@@ -130,6 +131,36 @@ def test_operator_shape_checks():
         fb.apply_bracket_operator(sys, U, np.zeros((2, 64)))
     with pytest.raises(ShapeMismatchError):
         fb.apply_bracket_operator(sys, smooth_field((0.0,), 32), np.zeros((1, 32)))
+
+
+def test_functional_coordinates_must_be_the_system_coordinates():
+    # read by position, the first two gave a silently wrong bracket and the
+    # third numpy's reshape error
+    sys = polar_pair_system()
+    U = smooth_field((1.5, 0.2), 64, seed=2)
+    F = fb.Functional("r^2*th", sys.coords)
+    for coords, density in [(("th", "r"), "th^2*r"), (("a", "b"), "a*b"),
+                            (("r", "th", "z"), "r*th*z")]:
+        other = fb.Functional(density, coords)
+        message = (f"functional coordinates {coords} are not the system "
+                   f"coordinates ('r', 'th')")
+        for call in (lambda: fb.bracket(sys, F, other, U),
+                     lambda: fb.bracket(sys, other, F, U),
+                     lambda: fb.hamiltonian_flow(sys, other, U),
+                     lambda: fb.jacobi_residual(sys, F, F, other, U)):
+            with pytest.raises(ShapeMismatchError) as err:
+                call()
+            assert str(err.value) == message
+
+
+def test_functional_needs_one_field_component_per_coordinate():
+    F = fb.Functional("r*th*z", ("r", "th", "z"))
+    U = smooth_field((1.5, 0.2), 16)
+    message = "functional has 3 coordinates, field has 2 components"
+    with pytest.raises(ShapeMismatchError, match=message):
+        F.variational(U)
+    with pytest.raises(ShapeMismatchError, match=message):
+        F.value(U)
 
 
 @pytest.mark.parametrize("sys", [
@@ -307,22 +338,23 @@ def gradient_cases():
 
 
 @pytest.mark.parametrize("m", [32, 64, 128])
-def test_jacobi_residual_makes_two_stacked_core_calls(monkeypatch, m):
+def test_jacobi_residual_takes_each_table_jets_once(monkeypatch, m):
     sys = polar_pair_system()
     U = smooth_field((1.5, 0.2), m, seed=2)
     calls = []
-    core = fb._operator
+    jets = tz.table_jets_at
 
-    def counted(sys_, values, xi, along=None):
-        calls.append((len(values), along is not None))
-        return core(sys_, values, xi, along)
+    def counted(sys_, exprs, pts, order):
+        calls.append((id(exprs), len(pts), order))
+        return jets(sys_, exprs, pts, order)
 
-    monkeypatch.setattr(fb, "_operator", counted)
+    monkeypatch.setattr(tz, "table_jets_at", counted)
     # a plain float, so the CLI's `pass` comparison stays a JSON bool
     funcs = cubic_triple(sys.coords, degree=2)
     assert type(fb.jacobi_residual(sys, *funcs, U)) is float
-    # the flows and dA along them
-    assert calls == [(3, False), (3, True)]
+    # g and b, to first order at the M field points, shared by the flows
+    # and by dA along them
+    assert calls == [(id(sys.g_upper), m, 1), (id(sys.b), m, 1)]
 
 
 def skew_cases(m):
@@ -383,33 +415,31 @@ def test_exact_jacobi_of_poisson_brackets_is_below_the_old_floor():
 
 
 def test_operator_derivative_matches_central_difference():
-    # two different directions stacked, so each batch entry reads its own
+    # one core call per direction, each at its own perturbed field
     h = 1e-5
     for sys, U in non_poisson_cases(64) + poisson_cases(64):
         f, g, k = cubic_triple(sys.coords)
-        values = np.stack([U.values, U.values])
-        xi = f._variational(values)
-        v = np.stack([fb.hamiltonian_flow(sys, g, U).values,
-                      fb.hamiltonian_flow(sys, k, U).values])
-        exact = fb._operator(sys, values, xi, along=v)
-        central = (fb._operator(sys, values + h * v, xi)
-                   - fb._operator(sys, values - h * v, xi)) / (2.0 * h)
-        scale = np.max(np.abs(fb._operator(sys, values, xi)))
-        assert np.max(np.abs(exact - central)) <= 1e-7 * scale, sys.name
+        xi = f._variational(U.values)[None]
+        coefs = fb._coefficients(sys, U.values, 1)
+        scale = np.max(np.abs(fb._operator(coefs, U.values, xi)))
+        for flow in (g, k):
+            v = fb.hamiltonian_flow(sys, flow, U).values
+            exact = fb._operator(coefs, U.values, xi, along=v[None])
+            up, down = U.values + h * v, U.values - h * v
+            central = (fb._operator(fb._coefficients(sys, up, 0), up, xi)
+                       - fb._operator(fb._coefficients(sys, down, 0), down, xi)
+                       ) / (2.0 * h)
+            assert np.max(np.abs(exact - central)) <= 1e-7 * scale, sys.name
 
 
-def test_stacked_operator_and_variational_match_per_field():
+def test_stacked_covectors_match_the_operator_per_covector():
     for sys, U in gradient_cases():
         f = fb.random_polynomial_functional(sys.coords, seed=60)
         rng = np.random.default_rng(61)
-        stack = U.values + 0.01 * rng.normal(size=(5,) + U.values.shape)
-        xi = f._variational(stack)
-        ops = fb._operator(sys, stack, xi)
-        for k, row in enumerate(stack):
-            field = fb.GridField(row)
-            assert np.array_equal(xi[k], f.variational(field))
-            assert np.array_equal(ops[k], fb.apply_bracket_operator(
-                sys, field, xi[k]).values)
+        xi = f._variational(U.values) + 0.01 * rng.normal(size=(5,) + U.values.shape)
+        ops = fb._operator(fb._coefficients(sys, U.values, 0), U.values, xi)
+        for k, row in enumerate(xi):
+            assert np.array_equal(ops[k], fb.apply_bracket_operator(sys, U, row).values)
 
 
 def test_antisymmetry_improves_with_grid_refinement():

@@ -141,7 +141,7 @@ def test_table_views():
     assert np.array_equal(values[:, 0, 1], [2.0, 2.0])
     assert np.array_equal(values[:, 1, 0], [3.0, 3.0])
     assert np.array_equal(values[:, 0, 0], [2.0, -0.5])
-    d1 = tz.table_d1_at(sys, sys.g_upper, pts)
+    d1 = tz.table_jets_at(sys, sys.g_upper, pts, 1)[1]
     assert d1.shape == (2, 2, 2, 2)
     assert np.array_equal(d1[:, 0, 0, 0], pts[:, 1])      # d(xy)/dx
     assert np.array_equal(d1[:, 1, 1, 1], 2 * pts[:, 1])  # d(y^2)/dy
