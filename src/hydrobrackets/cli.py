@@ -4,7 +4,9 @@ Configs are JSON files (see `hydrobrackets.config`); positional config
 arguments also accept the name of a built-in example.  Exit codes are a
 stable contract: 0 pass, 2 a check ran and failed, 1 usage or internal
 error.  Identical config, seed and tolerances produce byte-identical JSON
-reports.
+reports.  A reader that closes stdout early (``check sphere | head -1``)
+changes neither: the rest of the report goes to `os.devnull`, and ``--out``
+is still written.
 """
 
 from __future__ import annotations
@@ -134,6 +136,18 @@ def _given(**kwargs):
     return {key: value for key, value in kwargs.items() if value is not None}
 
 
+def _say(*args, **kwargs):
+    """`print` to stdout.  Once the reader has closed the pipe, stdout
+    points at `os.devnull`, so the command goes on to write ``--out`` and
+    returns its verdict's code."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -149,7 +163,7 @@ def cmd_check(args):
         "auto": verify.classify,
     }[args.bracket_class]
     report = run(lc.system, tol_zero=lc.tolerances["tol_zero"])
-    print(report)
+    _say(report)
     if args.out:
         _write_text(args.out, report.to_json())
     return PASS if report.passed else FAIL
@@ -164,7 +178,7 @@ def cmd_flat_coords(args):
     except NotFlatError as err:
         print(f"not flat: {err}", file=sys.stderr)
         return FAIL
-    print(verify.json_text(chart.summary_dict()), end="")
+    _say(verify.json_text(chart.summary_dict()), end="")
     if args.out:
         n = lc.system.N
         grids = np.meshgrid(*chart.axes, indexing="ij")
@@ -181,7 +195,7 @@ def cmd_hodograph(args):
     sys_, tol = lc.system, lc.tolerances
     report = hg.semi_hamiltonian_check(sys_, tol_zero=tol["tol_zero"],
                                        gap_tol=tol["gap_tol"])
-    print(report)
+    _say(report)
     if not report.passed and not args.force:
         print("refusing to solve a system that fails the compatibility check "
               "(use --force to override)", file=sys.stderr)
@@ -199,7 +213,7 @@ def cmd_hodograph(args):
     else:
         raise ConfigError("config declares no commuting flow: the hodograph "
                           "section needs either 'w' or 'boundary'")
-    print(f"flow [{flow.kind}]: defining residual "
+    _say(f"flow [{flow.kind}]: defining residual "
           f"{flow.residual:.3e} ({flow.provenance})")
     # integrated flows carry march error and are not judged here
     if flow.kind == "closed-form" and not flow.residual < tol["tol_goursat"]:
@@ -218,10 +232,10 @@ def cmd_hodograph(args):
                              seed=seed, newton_tol=tol["newton_tol"],
                              **_given(nx=section.get("nx"), nt=section.get("nt")))
     audit = hg.verify_solution(sol, sys_)
-    print(f"solved {sol.n_converged}/{sol.converged.size} spacetime points "
+    _say(f"solved {sol.n_converged}/{sol.converged.size} spacetime points "
           f"on x={x_window[0]:.6g}..{x_window[1]:.6g} "
           f"t={t_window[0]:.6g}..{t_window[1]:.6g}")
-    print(f"pde residual: max {audit.max_residual:.3e} mean "
+    _say(f"pde residual: max {audit.max_residual:.3e} mean "
           f"{audit.mean_residual:.3e} over {audit.n_points} points")
     if args.out:
         hg.save_solution_csv(args.out, sol)
@@ -262,7 +276,7 @@ def cmd_jacobi(args):
     worst = int(np.argmax(residuals))
     top = residuals[worst]
     ok = top < tol
-    print(f"jacobi [{'pass' if ok else 'FAIL'}]: max residual {top:.3e} "
+    _say(f"jacobi [{'pass' if ok else 'FAIL'}]: max residual {top:.3e} "
           f"(tol {tol:.1e}) over {len(residuals)} seeded triples at M={m}; "
           f"worst triple seeds {base + 3 * worst}..{base + 3 * worst + 2}")
     if args.out:
@@ -282,7 +296,7 @@ def cmd_jacobi(args):
 
 def cmd_examples(args):
     for name in library.names():
-        print(name)
+        _say(name)
     return PASS
 
 
@@ -300,10 +314,13 @@ def main(argv=None) -> int:
         "examples": cmd_examples,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
     except (ConfigError, HydroBracketsError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return ERROR
+    # a buffered stdout meets a closed pipe here, not in the command
+    _say(end="", flush=True)
+    return code
 
 
 if __name__ == "__main__":

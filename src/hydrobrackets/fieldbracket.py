@@ -207,10 +207,6 @@ def bracket(sys: SystemDef, F: Functional, G: Functional, U: GridField) -> float
     return float(np.sum(F._variational(U.values) * a) * U.dx)
 
 
-def antisymmetry_residual(sys, F, G, U) -> float:
-    return abs(bracket(sys, F, G, U) + bracket(sys, G, F, U))
-
-
 def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField) -> GridField:
     """U_t = A(deltaH), the quasilinear flow generated by H."""
     coefs = _coefficients(sys, U.values, 0, funcs=(H,))

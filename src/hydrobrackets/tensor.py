@@ -30,13 +30,18 @@ guard, both over the whole batch, then assembles the connection.
 that pass; `christoffel_at` stays first order, as the flat-coordinate
 transport calls it on batches of up to ``verify.TRANSPORT_BATCH_POINTS``
 Runge-Kutta stage positions.  `riemann_raised_at` assembles the curvature
-in blocks of at most ``CURVATURE_BLOCK_ENTRIES // N**4`` points written
-into one output, so its (P, N, N, N, N) temporaries span one block, not
-the batch.  For a Levi-Civita connection, raising the second index cancels
-the inverse metric on that side, so the assembly needs ``g_upper``, its
-inverse, their jets and the first-kind symbols, and no second derivative
-of the inverse (`_levi_civita_curvature`); a declared ``b`` is
-differentiated and goes through `_riemann`.  Products are contracted
+in blocks of at most ``CURVATURE_BLOCK_ENTRIES // N**4`` points, so its
+(P, N, N, N, N) temporaries span one block, not the batch.  For a
+Levi-Civita connection, raising the second index cancels the inverse
+metric on that side, so the assembly needs ``g_upper``, its inverse, their
+jets and the first-kind symbols, and no second derivative of the inverse
+(`_levi_civita_curvature`).  The pass keeps only the metric, its inverse
+and their jets for the batch; each block builds its first-kind symbols and
+connection from its own slices, reads its second derivatives of the
+metric, then writes its curvature over them, so the output is the
+second-derivative buffer and the pass holds about two outputs at its
+peak.  A declared ``b`` is differentiated and goes through `_riemann`
+into a fresh output.  Products are contracted
 pairwise with ``matmul``, one product per point where the layout allows
 (never an einsum of three or more operands), so the curvature costs
 O(P N^5) arithmetic and about ten passes over the 5-index arrays of each
@@ -212,9 +217,12 @@ def _geometry(sys: SystemDef, pts, *, curvature=False, levi_civita=False):
     before a derivative outside its domain, as when the values came alone.
     The connection comes from the declared ``b`` unless ``levi_civita`` is
     set or no ``b`` is declared.  The curvature is ``None`` unless
-    ``curvature`` is set; then it is ``(assemble, *parts)``, where the
-    parts are batch arrays and ``assemble(out, *blocks)`` writes the raised
-    curvature of a block of points, given the same block of each part.
+    ``curvature`` is set; then it is ``(assemble, out, *parts)``, where
+    ``out`` and the parts are batch arrays and ``assemble(block of out,
+    *blocks)`` writes the raised curvature of a block of points, given the
+    same block of each part.  For a Levi-Civita connection the connection
+    is then ``None``, as the assembly builds it per block, and ``out`` is
+    the second-derivative buffer, which each block reads before it writes.
     """
     if sys.g_upper is None:
         raise ValueError("system declares no metric")
@@ -233,16 +241,21 @@ def _geometry(sys: SystemDef, pts, *, curvature=False, levi_civita=False):
         gamma = np.swapaxes(_apply(-lower, b, 1), 1, 2)
         if not curvature:
             return upper, gamma, None
-    l1 = _lower_d1(lower, upper_d[0])
-    if declared:
-        return upper, gamma, (_declared_curvature, upper, lower, l1, b, b_d[0], gamma)
-    # first-kind symbols s[k, m, l] = d_m g_{kl} + d_l g_{km} - d_k g_{ml}
+        out = np.empty(upper.shape[:1] + upper.shape[1:] * 2)
+        return upper, gamma, (_declared_curvature, out, upper, lower,
+                              _lower_d1(lower, upper_d[0]), b, b_d[0], gamma)
+    if curvature:
+        return upper, None, (_levi_civita_curvature, upper_d[1], upper, lower, *upper_d)
+    return upper, _levi_civita(upper, lower, upper_d[0])[1], None
+
+
+def _levi_civita(upper, lower, upper_d1):
+    """First-kind symbols ``s[k, m, l] = d_m g_{kl} + d_l g_{km} - d_k g_{ml}``
+    and the Levi-Civita connection ``Gamma = g^{..} s / 2``."""
+    l1 = _lower_d1(lower, upper_d1)
     s = np.transpose(l1, (0, 2, 1, 3)) + np.transpose(l1, (0, 2, 3, 1))
     s -= l1
-    gamma = 0.5 * _apply(upper, s, 1)
-    if not curvature:
-        return upper, gamma, None
-    return upper, gamma, (_levi_civita_curvature, upper, lower, *upper_d, s, gamma)
+    return s, 0.5 * _apply(upper, s, 1)
 
 
 def _riemann(gamma, gamma_d1):
@@ -270,7 +283,7 @@ def _declared_curvature(out, upper, lower, l1, b, b_d1, gamma):
               out=out.reshape(count, n, n, n * n))
 
 
-def _levi_civita_curvature(out, upper, lower, upper_d1, upper_d2, s, gamma):
+def _levi_civita_curvature(out, upper, lower, upper_d1, upper_d2):
     # Raising n and a in R_{ktml} = (F_{mtkl} - F_{ltkm}) / 2, where
     # F_{mtkl} = d_m d_t g_{kl} - d_m d_k g_{tl} - s_{xmk} Gamma^x_{tl}, gives
     # R^{na}_{ml} = A_{ml} A_{na} T with A_{ij} subtracting the copy with i
@@ -285,13 +298,15 @@ def _levi_civita_curvature(out, upper, lower, upper_d1, upper_d2, s, gamma):
     # The last three terms pair (m, n) against (l, a), so their products
     # come out as ``crossed[p, m, n, l, a]`` and are transposed once; the
     # first pairs (a, n) against (m, l), which is the layout of ``out`` with
-    # n and a swapped, so A_{na} takes it with the sign flipped.
-    count, n = s.shape[:2]
+    # n and a swapped, so A_{na} takes it with the sign flipped.  ``out`` may
+    # be ``upper_d2`` itself: it is read in full before ``out`` is written.
+    count, n = upper.shape[:2]
     nn = n * n
     second = upper_d2.reshape(count, n ** 3, n) @ lower
     crossed = (np.swapaxes(second.reshape(count, n, n ** 3), 1, 2)
                @ (-0.5 * upper)).reshape(count, nn, nn)
     del second
+    s, gamma = _levi_civita(upper, lower, upper_d1)
     # s and Gamma are symmetric in their last two indices, so contracting
     # the last one with g^{..} gives [l, i, a] and Z as [x, l, a]
     s_up = (s.reshape(count, nn, n) @ (-0.25 * upper)).reshape(count, n, n, n)
@@ -328,13 +343,13 @@ def riemann_raised_at(sys: SystemDef, pts):
     """Curvature with the second index raised by the metric.
 
     Assembled in blocks of at most ``CURVATURE_BLOCK_ENTRIES // N**4``
-    points, so its 5-index temporaries never span the whole batch.
+    points, so its 5-index temporaries never span the whole batch; for a
+    Levi-Civita connection each block is written over the metric's second
+    derivatives at its points, so the output is that buffer.
     """
-    _, gamma, (assemble, *parts) = _geometry(sys, pts, curvature=True)
-    count, n = gamma.shape[:2]
-    out = np.empty((count,) + (n,) * 4)
-    step = max(1, CURVATURE_BLOCK_ENTRIES // n ** 4)
-    for start in range(0, count, step):
+    _, _, (assemble, out, *parts) = _geometry(sys, pts, curvature=True)
+    step = max(1, CURVATURE_BLOCK_ENTRIES // out.shape[1] ** 4)
+    for start in range(0, len(out), step):
         block = slice(start, start + step)
         assemble(out[block], *(part[block] for part in parts))
     return out

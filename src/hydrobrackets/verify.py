@@ -157,10 +157,24 @@ class VerifyReport(JsonReport):
         return "\n".join(lines)
 
 
-def _argmax_abs(values, pts):
-    """Max absolute entry of a batched tensor and the point attaining it."""
-    flat = np.abs(values.reshape(len(values), -1))
-    per_point = flat.max(axis=1) if flat.shape[1] else np.zeros(len(values))
+def _argmax_abs(values, pts, block=None):
+    """Max absolute entry of a batched tensor and the point attaining it.
+
+    The tensor is ``values`` or, when ``block`` is given, ``block(rows)``
+    over each slice ``rows`` of points, with ``values`` giving its shape.
+    Its entries are taken in point blocks of at most
+    ``tz.CURVATURE_BLOCK_ENTRIES``, so the absolute values, and the tensor
+    ``block`` builds, span one block, not the batch.
+    """
+    if block is None:
+        block = values.__getitem__
+    size = math.prod(values.shape[1:])
+    per_point = np.zeros(len(values))
+    if size:
+        step = max(1, tz.CURVATURE_BLOCK_ENTRIES // size)
+        for lo in range(0, len(values), step):
+            rows = slice(lo, lo + step)
+            np.max(np.abs(block(rows)).reshape(-1, size), axis=1, out=per_point[rows])
     idx = int(np.argmax(per_point))
     return float(per_point[idx]), tz.point_at(pts, idx)
 
@@ -184,8 +198,8 @@ def fold_worst(tensors, pts, *start):
                             *start)
 
 
-def _check(name, values, pts, tol):
-    residual, witness = _argmax_abs(values, pts)
+def _check(name, values, pts, tol, block=None):
+    residual, witness = _argmax_abs(values, pts, block)
     return CheckResult(name, residual, tol, residual < tol, witness)
 
 
@@ -227,8 +241,9 @@ def _mf(sys, pts, base, curv, tol):
     pattern = _curvature_pattern(sys.N)
     denom = float(np.sum(pattern * pattern)) * len(pts)
     c_fit = float(np.sum(curv * pattern) / denom) if denom else 0.0
-    checks = base + [_check("constant-curvature-pattern",
-                            curv - c_fit * pattern, pts, tol)]
+    fit = c_fit * pattern
+    checks = base + [_check("constant-curvature-pattern", curv, pts, tol,
+                            lambda rows: curv[rows] - fit)]
     ok = all(c.passed for c in checks)
     cross = VERDICT_DN if ok and abs(c_fit) < tol else None
     return VerifyReport(sys.name, VERDICT_MF if ok else VERDICT_FAIL, checks,
@@ -252,11 +267,15 @@ def _fer(sys, pts, base, curv, tol):
             "covariant-derivative-symmetry",
             (c - np.transpose(c, (0, 3, 2, 1)) for c in cov), pts, tol))
 
-    rep = np.zeros_like(curv)
-    for sign, w, _ in affs:
-        rep += sign * (np.einsum("pnm,ptl->pntml", w, w)
-                       - np.einsum("ptm,pnl->pntml", w, w))
-    checks.append(_check("curvature-representation", curv - rep, pts, tol))
+    def residual(rows):
+        # the curvature less its representation through the family
+        rep = np.zeros_like(curv[rows])
+        for sign, w, _ in affs:
+            w = w[rows]
+            rep += sign * (np.einsum("pnm,ptl->pntml", w, w)
+                           - np.einsum("ptm,pnl->pntml", w, w))
+        return curv[rows] - rep
+    checks.append(_check("curvature-representation", curv, pts, tol, residual))
 
     if affs:
         # a single-member family commutes vacuously but is still reported,

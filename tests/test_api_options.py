@@ -71,7 +71,6 @@ PUBLIC_OPTIONS = {
     "system.sample_box": (),
     "fieldbracket.Functional": (),
     "fieldbracket.GridField": (),
-    "fieldbracket.antisymmetry_residual": (),
     "fieldbracket.apply_bracket_operator": (),
     "fieldbracket.bracket": (),
     "fieldbracket.hamiltonian_flow": (),

@@ -706,6 +706,35 @@ def test_installed_entry_point():
     assert proc.stdout.split() == ALL_EXAMPLES
 
 
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, code", [
+    (["check", "sphere"], 0),
+    (["check", "--class", "dn", "sphere"], 2),
+    (["flat-coords", "polar_plane", "--grid", "8"], 0),
+], ids=["check-pass", "check-fail", "flat-coords"])
+def test_closed_stdout_keeps_the_exit_code_and_the_out_file(tmp_path, argv, code,
+                                                            unbuffered):
+    """A reader that closes the pipe first (``check sphere | head -1``)
+    silences the report, not the verdict: the exit code, an empty stderr
+    and the ``--out`` bytes are those of an open stdout."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    expected, out = tmp_path / "expected", tmp_path / "out"
+    assert main(argv + ["--out", str(expected)]) == code
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hydrobrackets.cli", *argv, "--out", str(out)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """The runtime needs numpy only: neither the import, nor a sampled-flow
     hodograph solve, nor a metric pencil loads scipy."""

@@ -8,6 +8,7 @@ its derivatives from one jet evaluation and guard per batch and contracts
 pairwise, so the two agree to rounding.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,13 @@ def declared_system():
         box=base.box, name="declared-3")
 
 
+def affinor_family_on_curved_metric():
+    """Fails the flat and constant-curvature classes, then the affinor one."""
+    return SystemDef(["x", "y"], g_upper=[["1 + x^2", "0"], ["0", "1 + y^2 + x"]],
+                     affinors=[(1.0, [["x", "0"], ["0", "x"]])],
+                     box=Box((0.1, 0.1), (0.9, 0.9)), name="curved-affinor")
+
+
 def test_one_point_is_a_batch_of_one():
     """Every ``*_at`` view takes a 1-D point as the batch holding it, and
     an empty batch gives an empty result of the same trailing shape."""
@@ -267,50 +275,74 @@ def test_one_point_is_a_batch_of_one():
 
 # --- point blocks of the curvature ------------------------------------------------
 
-@pytest.mark.parametrize("sys", [conformal_metric(4, 1.0), declared_system()],
-                         ids=["levi-civita", "declared-b"])
-def test_curvature_blocks_do_not_change_the_result(sys, monkeypatch):
-    """The curvature of a batch is, bitwise, that of one block over it."""
+@pytest.mark.parametrize("sys, verdict", [
+    (conformal_metric(4, 1.0), verify.VERDICT_MF),
+    (declared_system(), verify.VERDICT_UNKNOWN),
+    (conformal_metric(3, 0.0), verify.VERDICT_DN),
+    (affinor_family_on_curved_metric(), verify.VERDICT_FAIL),
+], ids=["levi-civita", "declared-b", "flat", "affinor"])
+def test_curvature_blocks_do_not_change_the_result(sys, verdict, monkeypatch):
+    """The curvature of a batch, and the `verify.classify` report that folds
+    its checks over the same blocks, are bitwise those of one block over
+    the batch."""
     pts = sample_box(sys.box, 2048)
     results = []
     for points in (2048, 100, 1):
         monkeypatch.setattr(tz, "CURVATURE_BLOCK_ENTRIES", points * sys.N ** 4)
-        results.append(tz.riemann_raised_at(sys, pts))
+        results.append((tz.riemann_raised_at(sys, pts).tobytes(),
+                        verify.classify(sys, samples=2048).to_json()))
     monkeypatch.undo()
-    results.append(tz.riemann_raised_at(sys, pts))
-    for blocked in results[1:]:
-        assert blocked.tobytes() == results[0].tobytes()
+    results.append((tz.riemann_raised_at(sys, pts).tobytes(),
+                    verify.classify(sys, samples=2048).to_json()))
+    assert json.loads(results[0][1])["verdict"] == verdict
+    assert results[1:] == results[:1] * 3
+
+
+def traced_peak(call):
+    """Peak of the memory ``call()`` allocates, with its tables compiled first."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_curvature_peak_memory_stays_near_its_output():
     """The 5-index temporaries of the curvature live for one point block.
 
-    At N = 4 and 2,048 points the output is 4.2 MB; the pass keeps the
-    second derivatives of the metric (one output) and three 4-index
-    arrays (a quarter output each) for the whole batch, and the blocks add
-    well under one output.  Assembling the whole batch at once reaches 4.4
-    outputs, which the bound rejects.
+    At N = 4 and 2,048 points the output is 4.2 MB.  For a Levi-Civita
+    connection it is the buffer of the metric's second derivatives, which
+    each block overwrites after reading it; the first derivatives (a
+    quarter output) live for the whole batch, and the connection and the
+    other temporaries for one block.  The pass peaks near 1.94 outputs.
+    Keeping the first-kind symbols and the connection for the batch and a
+    separate output reached 3.22 outputs, and assembling the whole batch at
+    once 4.4; the bound rejects both.
     """
     sys = conformal_metric(4, 1.0)
     pts = sample_box(sys.box, 2048)
-    tz.riemann_raised_at(sys, pts)      # compile the tables first
-    tracemalloc.start()
-    try:
-        out = tz.riemann_raised_at(sys, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * out.nbytes
+    out, peak = traced_peak(lambda: tz.riemann_raised_at(sys, pts))
+    assert peak < 2.25 * out.nbytes
+
+
+def test_classify_peak_memory_stays_near_one_curvature():
+    """The checks of `verify.classify` fold the curvature per point block.
+
+    The constant-curvature fit multiplies the whole curvature by its
+    pattern once, at the peak level of the curvature pass; the flatness and
+    pattern residuals and their absolute values span one block.  At N = 4
+    and 2,048 points the call peaks near 2.03 curvatures; whole-batch
+    residuals on a fresh curvature output reached 3.24.
+    """
+    sys = conformal_metric(4, 1.0)
+    report, peak = traced_peak(lambda: verify.classify(sys, samples=2048))
+    assert report.verdict == verify.VERDICT_MF
+    assert peak < 2.25 * 2048 * 4 ** 4 * 8
 
 
 # --- one curvature per classify --------------------------------------------------
-
-def affinor_family_on_curved_metric():
-    """Fails the flat and constant-curvature classes, then the affinor one."""
-    return SystemDef(["x", "y"], g_upper=[["1 + x^2", "0"], ["0", "1 + y^2 + x"]],
-                     affinors=[(1.0, [["x", "0"], ["0", "x"]])],
-                     box=Box((0.1, 0.1), (0.9, 0.9)), name="curved-affinor")
-
 
 @pytest.mark.parametrize("sys, verdict", [
     (sphere_system(), verify.VERDICT_MF),
