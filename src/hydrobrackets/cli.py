@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import re
 import sys
 
@@ -43,6 +44,16 @@ def _tol(text):
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be a finite number above 0, got {text}")
+    return value
+
+
+def _seed(text):
+    """``--seed`` values: non-negative integers, as
+    `fieldbracket.random_polynomial_functional` takes them."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -104,8 +115,9 @@ def _build_parser():
     p.add_argument("--grid", type=_grid,
                    help="field gridpoints, a power of two of at least 4 "
                         "(default 64)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed for generated functionals")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="base seed for generated functionals, a "
+                        "non-negative integer (default 0)")
 
     sub.add_parser("examples", help="list built-in examples")
     return parser
@@ -243,19 +255,20 @@ def cmd_hodograph(args):
 
 
 def _sample_field(sys, m, seed):
-    """Deterministic smooth periodic field staying inside the sample box."""
+    """Deterministic smooth periodic field staying inside the sample box;
+    its harmonics are drawn from ``random.Random(seed)``."""
     lo = np.asarray(sys.box.lo)
     hi = np.asarray(sys.box.hi)
     center = (lo + hi) / 2
     half = (hi - lo) / 2
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     x = np.arange(m) * 2 * np.pi / m
     vals = np.empty((sys.N, m))
     for comp in range(sys.N):
         # bounded harmonics: total amplitude stays below half the box size
         acc = np.full(m, center[comp])
         for j in range(1, 5):
-            a, b = rng.uniform(-1.0, 1.0, size=2)
+            a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
             acc += 0.1 * half[comp] * (a * np.cos(j * x) + b * np.sin(j * x)) / j
         vals[comp] = acc
     return fb.GridField(vals)
@@ -268,11 +281,11 @@ def cmd_jacobi(args):
     base = args.seed
     tol = lc.tolerances["tol_jacobi"]
     field = _sample_field(sys_, m, base)
-    residuals = []
-    for k in range(20):
-        triple = [fb.random_polynomial_functional(
-            sys_.coords, degree=3, seed=base + 3 * k + j) for j in range(3)]
-        residuals.append(fb.jacobi_residual(sys_, *triple, field))
+    # a generator: one triple's functionals are alive at a time
+    triples = ([fb.random_polynomial_functional(
+        sys_.coords, degree=3, seed=base + 3 * k + j) for j in range(3)]
+        for k in range(20))
+    residuals = fb.jacobi_residuals(sys_, triples, field)
     worst = int(np.argmax(residuals))
     top = residuals[worst]
     ok = top < tol

@@ -7,23 +7,27 @@ variational derivatives exact.  The bracket is the one the system declares:
 the local g and b terms and the ultralocal h term, each present when its
 coefficients are declared.  On top of the evaluated bracket this module
 provides the two operational bracket axioms as numbers: an antisymmetry
-residual comes out of `bracket` directly, and `jacobi_residual` measures
-Olver's tri-vector of the operator together with the triple's antisymmetry.
+residual comes out of `bracket` directly, and `jacobi_residuals` measures
+Olver's tri-vector of the operator together with each triple's
+antisymmetry.
 
 Cost model: the operator core takes one field (N, M), covectors stacked as
 (B, N, M) and the g, b and h tables evaluated at the M gridpoints, one jet
 pass per table (`tensor.table_jets_at`): the values for a bracket or a
-flow.  A Jacobi residual takes the first-order jets of each functional's
-density (`expr.jet_table`) and of each table once at the field, and calls
-the core twice with the three gradients stacked: for the flows, and for
-the operator derivatives along them.  That is O(M) points per functional
-and per table, with no step size and no second derivatives of the densities.
+flow.  A Jacobi sweep takes the first-order jets of each table once at the
+field, and of each functional's density (`expr.jet_table`); per triple it
+calls the core twice with the three gradients stacked: for the flows, and
+for the operator derivatives along them.  That is O(M) points per
+functional and per table, with no step size and no second derivatives of
+the densities.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +130,22 @@ class Functional:
 
 
 def random_polynomial_functional(coords, *, degree=3, seed=0) -> Functional:
-    """Seeded random density with all monomials of degree 1..degree."""
+    """Seeded random density with all monomials of degree 1..degree.
+
+    The coefficient of a degree-d monomial is a standard normal draw over
+    d!, from ``random.Random(seed)``, whose stream does not depend on the
+    numpy version; ``seed`` is a non-negative integer.
+    """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
-    rng = np.random.default_rng(seed)
+    # random.Random(-s) would replay the stream of s
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
     terms = []
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(coords, d):
-            c = rng.normal() / math.factorial(d)
+            c = rng.gauss(0.0, 1.0) / math.factorial(d)
             terms.append(f"{c!r}*" + "*".join(combo))
     return Functional(" + ".join(terms), coords)
 
@@ -146,11 +158,7 @@ def _coefficients(sys, values, order, xi=None, funcs=()):
     if sys.N != len(values):
         raise ShapeMismatchError(
             f"system has {sys.N} components, field has {len(values)}")
-    for f in funcs:
-        if f.coords != sys.coords:
-            raise ShapeMismatchError(
-                f"functional coordinates {f.coords} are not the system "
-                f"coordinates {sys.coords}")
+    _check_coords(sys, funcs)
     if xi is not None and xi.shape[1:] != values.shape:
         raise ShapeMismatchError(
             f"covector shape {xi.shape[1:]} does not match field shape "
@@ -160,6 +168,14 @@ def _coefficients(sys, values, order, xi=None, funcs=()):
     b = sys.b if sys.g_upper is not None else None
     return [None if t is None else tz.table_jets_at(sys, t, values.T, order)
             for t in (sys.g_upper, b, sys.h_ultra)]
+
+
+def _check_coords(sys, funcs):
+    for f in funcs:
+        if f.coords != sys.coords:
+            raise ShapeMismatchError(
+                f"functional coordinates {f.coords} are not the system "
+                f"coordinates {sys.coords}")
 
 
 def _operator(coefs, values, xi, along=None):
@@ -213,9 +229,9 @@ def hamiltonian_flow(sys: SystemDef, H: Functional, U: GridField) -> GridField:
     return GridField(_operator(coefs, U.values, H._variational(U.values)[None])[0])
 
 
-def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
-                    H: Functional, U: GridField) -> float:
-    """Olver's criterion at the given field: max(T, S).
+def jacobi_residuals(sys: SystemDef, triples, U: GridField) -> list[float]:
+    """Olver's criterion at the given field, max(T, S), for each triple
+    (F, G, H) of ``triples``, which may be a generator.
 
     A skew operator A is Hamiltonian if and only if its tri-vector
 
@@ -225,18 +241,33 @@ def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
     cyclic sum of {{F_k, F_{k+1}}, F_{k+2}} without the density Hessian
     terms, which cancel in that sum when A is skew; so skewness is read too,
     as S = max over j, k of |{F_j, F_k} + {F_k, F_j}| from the same flows.
-    The three gradients are stacked on the covector axis of the operator
-    core, which a residual calls twice, for the flows and for dA along
-    them, with one first-order jet pass per coefficient table at the field.
+    Each coefficient table's first-order jets are taken once at the field,
+    with the first triple, after its checks.  Per triple the three
+    gradients are stacked on the covector axis of the operator core, which
+    is called twice, for the flows and for dA along them.
     """
-    coefs = _coefficients(sys, U.values, 1, funcs=(F, G, H))
-    grads = np.stack([f._variational(U.values) for f in (F, G, H)])
-    flows = _operator(coefs, U.values, grads)
-    _require_finite(flows)
-    # term k reads F_k, F_{k+1} and the flow of F_{k+2}
-    inner = _operator(coefs, U.values, grads[[1, 2, 0]], along=flows[[2, 0, 1]])
-    _require_finite(inner)
-    trivector = abs(np.sum(grads * inner))
-    pairs = np.einsum("jnx,knx->jk", grads, flows)  # {F_j, F_k} / dx
-    skew = np.max(np.abs(pairs + pairs.T))
-    return float(max(trivector, skew) * U.dx)
+    values = U.values
+    coefs = None
+    out = []
+    for F, G, H in triples:
+        if coefs is None:
+            coefs = _coefficients(sys, values, 1, funcs=(F, G, H))
+        else:
+            _check_coords(sys, (F, G, H))
+        grads = np.stack([f._variational(values) for f in (F, G, H)])
+        flows = _operator(coefs, values, grads)
+        _require_finite(flows)
+        # term k reads F_k, F_{k+1} and the flow of F_{k+2}
+        inner = _operator(coefs, values, grads[[1, 2, 0]], along=flows[[2, 0, 1]])
+        _require_finite(inner)
+        trivector = abs(np.sum(grads * inner))
+        pairs = np.einsum("jnx,knx->jk", grads, flows)  # {F_j, F_k} / dx
+        skew = np.max(np.abs(pairs + pairs.T))
+        out.append(float(max(trivector, skew) * U.dx))
+    return out
+
+
+def jacobi_residual(sys: SystemDef, F: Functional, G: Functional,
+                    H: Functional, U: GridField) -> float:
+    """Olver's criterion max(T, S) for one triple: see `jacobi_residuals`."""
+    return jacobi_residuals(sys, [(F, G, H)], U)[0]

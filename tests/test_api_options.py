@@ -75,6 +75,7 @@ PUBLIC_OPTIONS = {
     "fieldbracket.bracket": (),
     "fieldbracket.hamiltonian_flow": (),
     "fieldbracket.jacobi_residual": (),
+    "fieldbracket.jacobi_residuals": (),
     "fieldbracket.random_polynomial_functional": ("degree", "seed"),
     "fieldbracket.spectral_dx": (),
     "expr.Expr": (),

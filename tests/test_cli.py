@@ -251,10 +251,10 @@ def test_jacobi_tol_zero_overrides_tol_jacobi(capsys):
     (["check", "--class", "mf", "sphere"],
      "67e754bffbee6ae698a466fd5ef5e8f940a98fc9f7e029c3e5d941bbc1819e7b"),
     (["jacobi", "polar_plane", "--seed", "0"],
-     "42ebabef5f3d7a7b569c1e03861d4ef902ab28b6abb282a6b704529f0af8fe57"),
+     "dfa8f9bb230d082edd0bd632347779aec1998de9f70b5d8f5247601c967fc94b"),
     # three components and an h term: the order of the core's contractions
     (["jacobi", "so3", "--seed", "0"],
-     "5d6a12356d30f5cdcb61c668a77c4307990a573ff4221a0282b621e6d7998fc9"),
+     "9c5684208620b2787ca1123505a2326d3612cc06188fa34e17a0ff9f0836e66c"),
 ])
 def test_out_json_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "report.json"
@@ -277,6 +277,15 @@ def test_out_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", ["-1", "-60"])
+def test_negative_seed_is_a_usage_error(seed, capsys):
+    # random.Random(-s) replays the stream of s
+    assert main(["jacobi", "canonical", "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument --seed: must be a non-negative integer, got {seed}" in err
 
 
 @pytest.mark.parametrize("command", ["flat-coords", "hodograph", "jacobi"])
@@ -763,6 +772,40 @@ def test_no_module_imports_scipy():
             else:
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_jacobi_leaves_numpy_random_unloaded():
+    """The sweep draws its field and functionals from the standard
+    library's `random`, which numpy has already imported."""
+    code = ("import contextlib, io, sys, hydrobrackets.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    print(cli.main(['jacobi', 'polar_plane', '--grid', '8']),"
+            " file=sys.stderr)\n"
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() in ("0", "2")
+    assert proc.stdout.strip() == "False"
+
+
+def test_no_module_names_numpy_random():
+    found = []
+    for path in sorted((SRC / "hydrobrackets").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names.append(node.module or "")
+            elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                  and isinstance(node.value, ast.Name)):
+                names = [f"{node.value.id}.random"]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.startswith(("np.random", "numpy.random"))]
     assert found == []
 
 

@@ -8,6 +8,7 @@ cyclic sum, while systems failing them must not.
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     so3_system, sphere_system,
 )
 from hydrobrackets import fieldbracket as fb
+from hydrobrackets import library
 from hydrobrackets import tensor as tz
 from hydrobrackets.config import DEFAULT_TOLERANCES
 from hydrobrackets.errors import ShapeMismatchError
@@ -215,6 +217,25 @@ def test_random_functional_needs_degree_one():
         fb.random_polynomial_functional(("u",), degree=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -60])
+def test_random_functional_needs_a_non_negative_seed(seed):
+    # random.Random(-s) would replay the stream of s
+    with pytest.raises(ValueError,
+                       match=f"seed must be a non-negative integer, got {seed}"):
+        fb.random_polynomial_functional(("u",), seed=seed)
+
+
+def test_random_functional_draws_from_the_standard_library():
+    # a normal draw of random.Random(seed), whatever the numpy version
+    U = smooth_field((0.5, 0.5), 16)
+    for seed in (0, 7, 180):
+        f = fb.random_polynomial_functional(("a", "b"), degree=1, seed=seed)
+        rng = random.Random(seed)
+        coef = [rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)]
+        assert np.array_equal(f.variational(U),
+                              np.repeat(np.array(coef)[:, None], 16, axis=1))
+
+
 def test_random_functional_is_deterministic():
     f1 = fb.random_polynomial_functional(("a", "b"), degree=3, seed=11)
     f2 = fb.random_polynomial_functional(("a", "b"), degree=3, seed=11)
@@ -360,6 +381,78 @@ def test_jacobi_residual_takes_each_table_jets_once(monkeypatch, m):
     # g and b, to first order at the M field points, shared by the flows
     # and by dA along them
     assert calls == [(id(sys.g_upper), m, 1), (id(sys.b), m, 1)]
+
+
+def test_jacobi_sweep_takes_each_table_jets_once(monkeypatch):
+    sys = polar_pair_system()
+    U = smooth_field((1.5, 0.2), 32, seed=2)
+    calls = []
+    jets = tz.table_jets_at
+
+    def counted(sys_, exprs, pts, order):
+        calls.append((id(exprs), len(pts), order))
+        return jets(sys_, exprs, pts, order)
+
+    monkeypatch.setattr(tz, "table_jets_at", counted)
+    # no triple: no residual and no jets, as a loop of jacobi_residual
+    assert fb.jacobi_residuals(sys, [], U) == []
+    assert calls == []
+    triples = (cubic_triple(sys.coords, seeds=(3 * k, 3 * k + 1, 3 * k + 2),
+                            degree=2) for k in range(4))
+    assert len(fb.jacobi_residuals(sys, triples, U)) == 4
+    # g and b once for the sweep, not once per triple
+    assert calls == [(id(sys.g_upper), 32, 1), (id(sys.b), 32, 1)]
+
+
+def bracket_builtins():
+    systems = [library.load(name).system for name in library.names()]
+    return [s for s in systems if s.g_upper is not None or s.h_ultra is not None]
+
+
+@pytest.mark.parametrize("m", [32, 64])
+def test_jacobi_residuals_equal_a_loop_of_jacobi_residual(m):
+    systems = bracket_builtins()
+    assert [s.name for s in systems] == [
+        "canonical", "hopf", "polar-plane", "so3", "unit-sphere",
+        "unit-sphere-affinor"]
+    for sys in systems:
+        U = smooth_field(sys.box.center, m, seed=4)
+        for base in (0, 60, 120, 180):
+            triples = [cubic_triple(sys.coords, seeds=(base + 3 * k, base + 3 * k + 1,
+                                                       base + 3 * k + 2))
+                       for k in range(4)]
+            expect = [fb.jacobi_residual(sys, *t, U) for t in triples]
+            got = fb.jacobi_residuals(sys, (t for t in triples), U)
+            assert all(type(r) is float for r in got)
+            assert got == expect, (sys.name, base)
+
+
+def test_jacobi_residuals_raise_the_errors_of_a_loop_in_order():
+    polar, water = polar_pair_system(), shallow_water_system()
+    field = smooth_field((1.5, 0.2), 16)
+    other = fb.Functional("a*b", ("a", "b"))
+    good = cubic_triple(polar.coords)
+    no_bracket = "system declares no bracket (needs g_upper or h_ultra)"
+    coords = ("functional coordinates ('a', 'b') are not the system "
+              "coordinates {}")
+    cases = [
+        # the field's components, then the functionals, then the bracket
+        (water, smooth_field((0.4, -0.2, 0.8), 16), [(other,) * 3],
+         "system has 2 components, field has 3"),
+        (water, field, [(other,) * 3], coords.format(water.coords)),
+        (water, field, [cubic_triple(water.coords), (other,) * 3], no_bracket),
+        # a later triple's functionals are checked as well
+        (polar, field, [good, (good[0], good[1], other)],
+         coords.format(polar.coords)),
+    ]
+    for sys, U, triples, message in cases:
+        with pytest.raises((ShapeMismatchError, ValueError)) as loop:
+            for t in triples:
+                fb.jacobi_residual(sys, *t, U)
+        with pytest.raises((ShapeMismatchError, ValueError)) as sweep:
+            fb.jacobi_residuals(sys, iter(triples), U)
+        assert type(sweep.value) is type(loop.value)
+        assert str(sweep.value) == str(loop.value) == message
 
 
 def skew_cases(m):
