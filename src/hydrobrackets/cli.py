@@ -20,8 +20,6 @@ import sys
 
 import numpy as np
 
-from . import fieldbracket as fb
-from . import hodograph as hg
 from . import library, verify
 from .config import load_config
 from .errors import ConfigError, HydroBracketsError, NotFlatError
@@ -203,6 +201,7 @@ def cmd_flat_coords(args):
 
 
 def cmd_hodograph(args):
+    from . import hodograph as hg
     lc = _load(args)
     sys_, tol = lc.system, lc.tolerances
     report = hg.semi_hamiltonian_check(sys_, tol_zero=tol["tol_zero"],
@@ -243,6 +242,8 @@ def cmd_hodograph(args):
     sol = hg.hodograph_solve(sys_, flow, x_window=x_window, t_window=t_window,
                              seed=seed, newton_tol=tol["newton_tol"],
                              **_given(nx=section.get("nx"), nt=section.get("nt")))
+    # the audit and the table need the solution alone
+    del flow
     audit = hg.verify_solution(sol, sys_)
     _say(f"solved {sol.n_converged}/{sol.converged.size} spacetime points "
           f"on x={x_window[0]:.6g}..{x_window[1]:.6g} "
@@ -257,6 +258,7 @@ def cmd_hodograph(args):
 def _sample_field(sys, m, seed):
     """Deterministic smooth periodic field staying inside the sample box;
     its harmonics are drawn from ``random.Random(seed)``."""
+    from . import fieldbracket as fb
     lo = np.asarray(sys.box.lo)
     hi = np.asarray(sys.box.hi)
     center = (lo + hi) / 2
@@ -275,6 +277,7 @@ def _sample_field(sys, m, seed):
 
 
 def cmd_jacobi(args):
+    from . import fieldbracket as fb
     lc = _load(args)
     sys_ = lc.system
     m = args.grid or 64

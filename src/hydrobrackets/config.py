@@ -17,7 +17,7 @@ import numbers
 import re
 import sys
 
-from . import hodograph, verify
+from . import verify
 from .errors import ConfigError, ExprSyntaxError, UnknownSymbolError
 from .system import Box, SystemDef
 
@@ -99,10 +99,10 @@ CONFIG_SCHEMA = {
 DEFAULT_TOLERANCES = {
     "tol_zero": verify.TOL_ZERO,
     "tol_flat": verify.TOL_FLAT,
-    "tol_goursat": hodograph.TOL_GOURSAT,
+    "tol_goursat": verify.TOL_GOURSAT,
     "tol_jacobi": 1e-6,
-    "gap_tol": hodograph.GAP_TOL,
-    "newton_tol": hodograph.NEWTON_TOL,
+    "gap_tol": verify.GAP_TOL,
+    "newton_tol": verify.NEWTON_TOL,
 }
 
 

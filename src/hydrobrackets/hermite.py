@@ -1,13 +1,15 @@
 """Bicubic Hermite interpolation of node values on a uniform grid.
 
 `HermiteGrid` is the interpolant of a grid-sampled commuting flow
-(`hodograph.CommutingFlow`): a table of node values, slopes and cross
-derivatives (`node_slopes`: 4th-order finite differences), one bicubic
-patch per cell.  The table is the only grid-sized array its construction
-makes: the slopes are written into the table's slots, over `row_blocks` of
-at most ``GRID_BLOCK_ENTRIES`` values, which also bound the whole-grid
-passes of `hodograph.integrate_commuting_flow`.  Each value comes from the
-same operations as over the whole grid at once.
+(`hodograph.CommutingFlow`): the node values it is given, kept by
+reference, and a table of node slopes and cross derivatives
+(`node_slopes`: 4th-order finite differences), one bicubic patch per cell;
+a two-component flow costs 64 bytes a node.  The table is the only
+grid-sized array its construction makes: the slopes are written into its
+slots, over `row_blocks` of at most ``GRID_BLOCK_ENTRIES`` values, which
+also bound the whole-grid passes of `hodograph.integrate_commuting_flow`,
+its velocity jets included.  Each value comes from the same operations as
+over the whole grid at once.
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ _HERMITE = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],
 
 class HermiteGrid:
     """Bicubic Hermite interpolant of the two flow components ``values[k]``
-    on a uniform grid ``axes``: node slopes and cross derivatives by
-    `node_slopes`; queries are clamped to the grid box."""
+    on a uniform grid ``axes``: it keeps ``values`` (the array itself when
+    it is C-contiguous float) and a table ``slopes`` of the node slopes and
+    cross derivatives (`node_slopes`); queries are clamped to the grid
+    box."""
 
     def __init__(self, axes, values):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
@@ -66,16 +70,16 @@ class HermiteGrid:
             if not (h > 0 and np.allclose(np.diff(a), h, rtol=1e-9, atol=0.0)):
                 raise ValueError("sampled flow axes must be increasing uniform "
                                  "grids of at least 2 nodes")
-        f = np.asarray(values, dtype=float)
+        f = np.ascontiguousarray(values, dtype=float)
         (x, y), (hx, hy) = self.axes, self.steps
         if f.shape != (2, len(x), len(y)):
             raise ValueError("sampled flow values must have shape "
                              f"(2, {len(x)}, {len(y)})")
-        # [k, i, j, s, r] = d_x^s d_y^r w^k at node (i, j), scaled to a unit
-        # cell; filled in place, as the grid is large
-        self.nodes = np.empty(f.shape + (2, 2))
-        self.nodes[..., 0, 0] = f
-        fy, fx, fxy = (self.nodes[..., s, r] for s, r in ((0, 1), (1, 0), (1, 1)))
+        self.values = f
+        # [k, i, j, slot] = d_y, d_x, d_x d_y of w^k at node (i, j), scaled
+        # to a unit cell; filled in place, as the grid is large
+        self.slopes = np.empty(f.shape + (3,))
+        fy, fx, fxy = np.moveaxis(self.slopes, -1, 0)
         node_slopes(f, hy, 2, fy)
         fy *= hy
         # the x slopes are scaled once the cross derivatives difference them
@@ -83,27 +87,38 @@ class HermiteGrid:
         node_slopes(fx, hy, 2, fxy)
         fxy *= hx * hy
         fx *= hx
+        # a cell's four nodes [a, b] from its first one, in the flattened grid
+        self._corners = np.array([[0, 1], [len(y), len(y) + 1]])
+        self._flat_values = f.reshape(2, -1)
+        self._flat_slopes = self.slopes.reshape(2, -1, 3)
 
     def __call__(self, point, *orders):
         """Derivatives of the given ``(x order, y order)`` at one point or a
         batch, stacked on the last axis: shape ``(N, len(orders))`` or
         ``(P, N, len(orders))``."""
         q = np.atleast_2d(np.asarray(point, dtype=float))
-        cells, bases = [], []
+        cell, bases = 0, []
         for r, a, h in zip(q.T, self.axes, self.steps):
             r = np.clip(r, a[0], a[-1])
             i = np.clip(np.searchsorted(a, r, side="right") - 1, 0, len(a) - 2)
             t = ((r - a[i]) / h)[:, None, None]
-            cells.append(i[:, None] + (0, 1))
+            # the cell's first node, as an index of the flattened grid
+            cell = cell * len(a) + i
             bases.append(((_HERMITE[3] * t + _HERMITE[2]) * t + _HERMITE[1]) * t
                          + _HERMITE[0])
-        # [p, k, (a, s, b, r)]: node a/b of the cell in x/y, derivative s/r
-        c = self.nodes[:, cells[0][:, :, None], cells[1][:, None, :]]
-        c = c.transpose(1, 0, 2, 4, 3, 5).reshape(len(q), -1, 16)
+        at = cell[:, None, None] + self._corners
+        # [k, p, (a, s, b, r)]: node a/b of the cell in x/y, derivative s/r
+        c = np.empty((2, len(q), 2, 2, 2, 2))
+        c[:, :, :, 0, :, 0] = self._flat_values.take(at, axis=1)
+        d = self._flat_slopes.take(at, axis=1)
+        c[:, :, :, 0, :, 1] = d[..., 0]
+        c[:, :, :, 1, :, 0] = d[..., 1]
+        c[:, :, :, 1, :, 1] = d[..., 2]
+        c = c.reshape(2, len(q), 16)
         # a batch is summed point by point, in the order of a single point
         res = np.stack([
             (c * (bases[0][:, ox, :, None] * bases[1][:, oy, None, :])
-             .reshape(len(q), 1, 16)).sum(axis=-1)
+             .reshape(len(q), 16)).sum(axis=-1)
             / (self.steps[0] ** ox * self.steps[1] ** oy)
-            for ox, oy in orders], axis=-1)
+            for ox, oy in orders], axis=-1).swapaxes(0, 1)
         return res[0] if np.ndim(point) == 1 else res

@@ -34,6 +34,12 @@ from .system import SystemDef, sample_box
 SAMPLES = 64
 TOL_ZERO = 1e-9
 TOL_FLAT = 1e-7
+# the hodograph pipeline's defaults (`hodograph` reads them from here, so
+# that a config load does not import it): a closed-form flow's defining
+# residual, the smallest velocity gap, the Newton residual
+TOL_GOURSAT = 1e-5
+GAP_TOL = 1e-8
+NEWTON_TOL = 1e-12
 # commutativity of affinor pairs is always judged at this absolute scale,
 # independent of the user-supplied zero tolerance
 TOL_COMMUTE = 1e-9

@@ -790,6 +790,36 @@ def test_jacobi_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_commands_load_only_the_modules_they_run():
+    """`hodograph` (with `hermite`) and `fieldbracket` are imported by the
+    commands that run them, and served to other importers on first use."""
+    code = ("import contextlib, io, sys, hydrobrackets.cli as cli\n"
+            "lazy = ('hodograph', 'hermite', 'fieldbracket')\n"
+            "def loaded():\n"
+            "    print(' '.join(m for m in lazy\n"
+            "                   if 'hydrobrackets.' + m in sys.modules) or '-')\n"
+            "loaded()\n"
+            "for argv in (['check', 'sphere'],\n"
+            "             ['flat-coords', 'canonical', '--grid', '4'],\n"
+            "             ['jacobi', 'polar_plane', '--grid', '8']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(code in (0, 2), end=' ')\n"
+            "    loaded()\n"
+            "import hydrobrackets, hydrobrackets.hodograph\n"
+            "from hydrobrackets import config, hodograph, verify\n"
+            "assert hydrobrackets.hodograph is hodograph\n"
+            "tol = config.DEFAULT_TOLERANCES\n"
+            "print(tol['tol_goursat'] == hodograph.TOL_GOURSAT == verify.TOL_GOURSAT,\n"
+            "      tol['gap_tol'] == hodograph.GAP_TOL == verify.GAP_TOL,\n"
+            "      tol['newton_tol'] == hodograph.NEWTON_TOL == verify.NEWTON_TOL)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "-", "True -", "True -", "True fieldbracket", "True True True"]
+
+
 def test_no_module_names_numpy_random():
     found = []
     for path in sorted((SRC / "hydrobrackets").rglob("*.py")):

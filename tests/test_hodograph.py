@@ -20,6 +20,7 @@ import pytest
 from conftest import (
     epsilon_system, hopf_system, shallow_water_riemann_system, symbolic_coupling,
 )
+from hydrobrackets import hermite
 from hydrobrackets import hodograph as hg
 from hydrobrackets.errors import (
     HyperbolicityViolationError, NonConvergenceError, RegionTooSmallError,
@@ -395,12 +396,12 @@ def test_singular_cell_solve_raises():
 
 
 def test_integration_peak_memory_stays_near_the_flow_it_keeps():
-    """The grid, the velocity jets and the couplings are released before
-    the interpolation table is built, and the whole-grid passes run in
-    blocks, so the peak is the kept flow (w and its table, 5.3 MB at
-    resolution 256) and little more.  Building the table with the grid,
-    the couplings and whole-grid stencil temporaries alive reached 2.2
-    times the flow."""
+    """The velocity jets are taken per block of grid rows and the couplings
+    are released before the interpolation table is built, which keeps w
+    itself and its three derivative slots: 64 bytes a node (4.0 MiB at
+    resolution 256).  The traced peak is that flow and little more: it
+    reads 1.05 times the flow, and read 1.38 times (5.56 MiB) with the
+    jets taken over the whole grid at once."""
     sys = shallow_water_riemann_system()
     hg.integrate_commuting_flow(sys, "R1", "R2", resolution=16)    # warm up
     tracemalloc.start()
@@ -409,7 +410,62 @@ def test_integration_peak_memory_stays_near_the_flow_it_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (flow.values.nbytes + flow._hermite.nodes.nbytes)
+    table = flow._hermite
+    assert table.values is flow.values
+    kept = flow.values.nbytes + table.slopes.nbytes
+    assert kept == 64 * flow.values[0].size
+    assert peak < 1.15 * kept
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_row_blocks_do_not_change_the_flow(monkeypatch):
+    """The couplings, the slopes and the residual are taken in row blocks
+    of at most ``GRID_BLOCK_ENTRIES`` values; a point's value does not
+    depend on its block, so every block size gives the same flow, bit for
+    bit.  The default spans 31 of the 257 grid rows."""
+    sys = shallow_water_riemann_system()
+    # inside the box, on its edges and outside it, where queries clamp
+    pts = np.concatenate([sample_box(sys.box, SAMPLES),
+                          [[1.0, 3.0], [2.0, 4.0], [0.5, 3.5], [1.5, 4.5]]])
+    runs = []
+    for entries in (1, 257, 1000, hermite.GRID_BLOCK_ENTRIES):
+        monkeypatch.setattr(hermite, "GRID_BLOCK_ENTRIES", entries)
+        flow = integrated_shallow_water_flow(256)
+        runs.append((flow.values, flow.residual, flow.w_at(pts),
+                     flow.dw_at(pts), flow.w_at(pts[0]), flow.dw_at(pts[0])))
+    for run in runs[:-1]:
+        assert all(same_bits(a, b) for a, b in zip(run, runs[-1]))
+
+
+@pytest.mark.parametrize("v_diag, gap_tol", [
+    # gaps up to gap_tol in rows 6 to 16, the smallest at (0.875, 0.5)
+    (["R1", "R1 + (R1 - 0.875)^2 + (R2 - 0.5)^2"], 0.25),
+    # the derivative of the sqrt divides by zero in row 4, and the speeds
+    # collide at (0.875, 0.5) only
+    (["sqrt((R1 - 0.25)^2)",
+      "sqrt((R1 - 0.25)^2) + (R1 - 0.875)^2 + (R2 - 0.5)^2"], hg.GAP_TOL),
+])
+def test_a_collision_across_row_blocks_is_the_whole_grids(monkeypatch, v_diag,
+                                                          gap_tol):
+    """A row block that fails raises the error of the whole grid: its worst
+    gap, and a collision before a derivative's domain error."""
+    sys = SystemDef(("R1", "R2"), v_diag=v_diag,
+                    box=Box((0.0, 0.0), (1.0, 1.0)), name="colliding")
+    r = np.linspace(0.0, 1.0, 17)
+    grid = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
+    with pytest.raises(HyperbolicityViolationError) as whole:
+        hg._hyperbolic_jets(sys, grid, 1, gap_tol)
+    assert whole.value.point == (0.875, 0.5)
+    for entries in (17, 3 * 17, hermite.GRID_BLOCK_ENTRIES):
+        monkeypatch.setattr(hermite, "GRID_BLOCK_ENTRIES", entries)
+        with pytest.raises(HyperbolicityViolationError) as err:
+            hg.integrate_commuting_flow(sys, "R1", "R2", resolution=16,
+                                        gap_tol=gap_tol)
+        assert str(err.value) == str(whole.value)
+        assert err.value.point == whole.value.point
 
 
 # --- hodograph solve ------------------------------------------------------------
