@@ -2,11 +2,12 @@
 
 `HermiteGrid` is the interpolant of a grid-sampled commuting flow
 (`hodograph.CommutingFlow`): the node values it is given, kept by
-reference, and a table of node slopes and cross derivatives
+reference and read-only, and a table of node slopes and cross derivatives
 (`node_slopes`: 4th-order finite differences), one bicubic patch per cell;
-a two-component flow costs 64 bytes a node.  The table is the only
-grid-sized array its construction makes: the slopes are written into its
-slots, over `row_blocks` of at most ``GRID_BLOCK_ENTRIES`` values, which
+a two-component flow costs 64 bytes a node.  Next to the values it keeps,
+the slope table is the only grid-sized array its construction allocates:
+the slopes are written into its slots, over `row_blocks` of at most
+``GRID_BLOCK_ENTRIES`` values, which
 also bound the whole-grid passes of `hodograph.integrate_commuting_flow`,
 its velocity jets included.  Each value comes from the same operations as
 over the whole grid at once.
@@ -61,7 +62,9 @@ class HermiteGrid:
     on a uniform grid ``axes``: it keeps ``values`` (the array itself when
     it is C-contiguous float) and a table ``slopes`` of the node slopes and
     cross derivatives (`node_slopes`); queries are clamped to the grid
-    box."""
+    box.  The kept values are made read-only, the caller's array included
+    when it is the one kept, so an edit that would leave the slopes behind
+    raises instead."""
 
     def __init__(self, axes, values):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
@@ -75,6 +78,7 @@ class HermiteGrid:
         if f.shape != (2, len(x), len(y)):
             raise ValueError("sampled flow values must have shape "
                              f"(2, {len(x)}, {len(y)})")
+        f.flags.writeable = False
         self.values = f
         # [k, i, j, slot] = d_y, d_x, d_x d_y of w^k at node (i, j), scaled
         # to a unit cell; filled in place, as the grid is large

@@ -173,7 +173,9 @@ class CommutingFlow:
     d_mu w^nu = a_{nu mu} (w^mu - w^nu) found when the flow was built or
     verified, and ``witness`` the sample point where a closed-form flow
     violates it most (None otherwise); ``provenance`` records whether the
-    flow was integrated here or supplied by the caller.
+    flow was integrated here or supplied by the caller.  A sampled flow's
+    ``values`` are those of its interpolant, read-only; a caller's values
+    are copied first, so a later edit of them reaches neither.
     """
 
     def __init__(self, coords, *, exprs=None, axes=None, values=None,
@@ -182,7 +184,7 @@ class CommutingFlow:
         self.params = dict(params or {})
         self.exprs = exprs
         self.axes = axes
-        self.values = values
+        self.values = None
         self.residual = residual
         self.witness = None
         self.tol = tol
@@ -196,7 +198,11 @@ class CommutingFlow:
             self.kind = "sampled"
             if len(self.coords) != 2:
                 raise ValueError("sampled flows are two-component")
+            if provenance != "integrated":
+                # an integrated flow hands over its own private grid
+                values = np.array(values, dtype=float, order="C")
             self._hermite = HermiteGrid(axes, values)
+            self.values = self._hermite.values
 
     @property
     def box(self) -> Box:

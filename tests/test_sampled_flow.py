@@ -103,6 +103,31 @@ def test_sampled_flow_values_must_match_the_axes():
         hg.CommutingFlow(("a", "b"), axes=axes, values=np.zeros((2, 6, 5)))
 
 
+def test_an_edit_of_the_callers_values_reaches_no_sampled_flow():
+    """A caller's values are copied, and a flow's own values are read-only,
+    so no edit leaves the interpolant's slopes behind its values."""
+    axes = tuple(np.linspace(lo, hi, 9) for lo, hi in zip(BOX.lo, BOX.hi))
+    grid = np.meshgrid(*axes, indexing="ij")
+    values = np.stack([smooth(*grid), bicubic(*grid)])
+    flow = hg.CommutingFlow(("a", "b"), axes=axes, values=values)
+    pts = sample_box(BOX, 20)
+    before = (flow.values.copy(), flow.w_at(pts), flow.dw_at(pts))
+    values[:] = 7.0
+    assert values.flags.writeable
+    for got, want in zip((flow.values, flow.w_at(pts), flow.dw_at(pts)), before):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="read-only"):
+        flow.values[0, 0, 0] = 1.0
+
+
+def test_an_integrated_flow_keeps_its_grid_read_only():
+    sys = shallow_water_riemann_system()
+    flow = hg.integrate_commuting_flow(sys, "R1", "R2", resolution=16)
+    assert flow.values is flow._hermite.values
+    with pytest.raises(ValueError, match="read-only"):
+        flow.values[1, 2, 3] = 0.0
+
+
 def test_goursat_flow_agrees_with_the_scipy_spline():
     sys = shallow_water_riemann_system()
     flow = hg.integrate_commuting_flow(sys, "R1^2/2", "R2^2/2 - 5")
